@@ -492,17 +492,24 @@ def _parser() -> argparse.ArgumentParser:
     group = pt.add_mutually_exclusive_group(required=True)
     group.add_argument("--axis", help="word literal whose axis to compute")
     group.add_argument("--wpd", action="store_true")
-    pt.add_argument("--gens-a", help="comma-separated element indices")
-    pt.add_argument("--gens-b", help="comma-separated element indices")
-    pt.add_argument("--radius", type=int, default=6)
+    pt.add_argument("--gens-a", type=_parse_gens, help="comma-separated element indices")
+    pt.add_argument("--gens-b", type=_parse_gens, help="comma-separated element indices")
+    pt.add_argument("--radius", type=_radius, default=6)
     pt.add_argument("--json", action="store_true")
     return p
 
 
-def _parse_gens(text: str | None):
-    if text is None:
-        return None
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _parse_gens(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+
+
+def _radius(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"radius must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def main(argv=None) -> int:
@@ -516,8 +523,8 @@ def main(argv=None) -> int:
         v=getattr(ns, "v", None),
         axis=getattr(ns, "axis", None),
         wpd=getattr(ns, "wpd", False),
-        gens_a=_parse_gens(getattr(ns, "gens_a", None)),
-        gens_b=_parse_gens(getattr(ns, "gens_b", None)),
+        gens_a=getattr(ns, "gens_a", None),
+        gens_b=getattr(ns, "gens_b", None),
         radius=getattr(ns, "radius", 6),
         vast_property=getattr(ns, "vast_property", None),
         assume_conditions=getattr(ns, "assume_conditions", False),

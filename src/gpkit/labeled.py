@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import SimplicialGraph
 from .groups import GroupDescriptor
@@ -26,6 +27,13 @@ class LabeledGraph:
 
     def label(self, v: str) -> GroupDescriptor:
         return self.labels[self.graph.index(v)]
+
+    @cached_property
+    def word_tables(self):
+        """The word engine's per-context tables (gpkit.words.WordTables)."""
+        from .words import WordTables
+
+        return WordTables(self)
 
 
 def labeled(g: SimplicialGraph, by_vertex) -> LabeledGraph:

@@ -1,25 +1,33 @@
 """Elements of a graph product in canonical normal form.
 
-A word is a sequence of syllables (vertex, non-identity factor element).
-Reduction repeatedly deletes identity syllables and merges two syllables on the
-same vertex whenever everything strictly between them commutes with that
-vertex.  Among the reduced words obtained from each other by swapping adjacent
-commuting syllables, the canonical representative is the lexicographically
-least under the vertex declaration order; it is computed greedily by always
-emitting the least syllable that can be moved to the front.  Equality of group
-elements is then equality of canonical words.
+A word is a sequence of syllables (vertex, non-identity factor element).  It is
+reduced when no two syllables on one vertex have only syllables commuting with
+that vertex between them; reduced words of one element differ only by swaps of
+adjacent commuting syllables (Green 1990, Hermiller-Meier 1995).  The canonical
+word is the least one under (vertex declaration order, element), so equal
+elements have equal canonical words.  normal_form finds it in one pass:
 
-Vertex groups must be computable: finite tables, finite cyclic groups, or the
-infinite cyclic group (syllable elements are then non-zero exponents).  Opaque
-descriptors are rejected.
+* Merge by piling (Crisp-Godelle-Wiest 2009).  Each vertex keeps a stack of the
+  positions of its live syllables.  A new syllable on v merges into the top of
+  v's stack when that top lies after the top of every vertex not adjacent to v;
+  an identity product pops the stack.  Otherwise it is pushed.  The prefix read
+  so far stays reduced, so nothing is rescanned.
+* Order.  Each live syllable depends on the latest earlier live syllable on
+  every vertex not commuting with it, its own included.  Kahn's algorithm with
+  a min-heap keyed on (declaration index, element) emits the least order; two
+  syllables free to move never share a vertex, so keys never tie.
+
+L syllables over n vertices cost O(L*n + L log L).  Vertex groups must be
+finite tables, finite cyclic groups (mod-n arithmetic) or the infinite cyclic
+group (elements are then non-zero exponents); opaque ones are rejected.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .groups import GroupDescriptor, concrete_table
+from .groups import GroupDescriptor, order_of
 from .labeled import LabeledGraph
 
 
@@ -64,68 +72,64 @@ IDENTITY = NormalWord(())
 
 
 class _Factor:
-    """Multiplication in one vertex group, on raw element codes (0 = identity)."""
+    """One vertex group on element codes, 0 being the identity: 0..order-1 for
+    finite groups, exponents for Z (order None).  Subclasses give mul and inv."""
 
-    finite = True
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
+    def __init__(self, order):
+        self.order = order
 
     def valid(self, a) -> bool:
-        raise NotImplementedError
-
-    def nontrivial_elements(self):
-        raise NotImplementedError
+        return isinstance(a, int) and (self.order is None or 0 <= a < self.order)
 
 
 class _TableFactor(_Factor):
     def __init__(self, table):
-        self.table = table
+        super().__init__(table.order)
+        self.mul = table.mul
+        self.inv = table.inv
+
+
+class _CyclicFactor(_Factor):
+    """Z/n as addition mod n, with no n x n table."""
 
     def mul(self, a, b):
-        return self.table.mul(a, b)
+        return (a + b) % self.order
 
     def inv(self, a):
-        return self.table.inv(a)
-
-    def valid(self, a):
-        return 0 <= a < self.table.order
-
-    def nontrivial_elements(self):
-        return range(1, self.table.order)
+        return -a % self.order
 
 
 class _IntFactor(_Factor):
-    finite = False
-
     def mul(self, a, b):
         return a + b
 
     def inv(self, a):
         return -a
 
-    def valid(self, a):
-        return isinstance(a, int)
-
-    def nontrivial_elements(self):
-        raise ValueError("infinite cyclic factors cannot be enumerated")
-
 
 def _build_factor(desc: GroupDescriptor) -> _Factor:
     if desc.kind == "Z":
-        return _IntFactor()
-    if desc.kind == "opaque":
-        raise ValueError("opaque vertex groups are not computable; the word engine rejects them")
-    return _TableFactor(concrete_table(desc))
+        return _IntFactor(None)
+    if desc.kind in ("Z2", "cyclic"):
+        return _CyclicFactor(order_of(desc))
+    if desc.kind == "table":
+        return _TableFactor(desc.table)
+    raise ValueError("opaque vertex groups are not computable; the word engine rejects them")
 
 
-@lru_cache(maxsize=None)
-def _ops(ctx: LabeledGraph):
-    factors = {v: _build_factor(ctx.label(v)) for v in ctx.graph.vertices}
-    return ctx.graph._order, ctx.graph._adj, factors
+class WordTables:
+    """Per-context data by vertex declaration index; kept on the context as ctx.word_tables."""
+
+    def __init__(self, ctx: LabeledGraph):
+        g = ctx.graph
+        self.names = g.vertices
+        self.index = g._order
+        self.factors = tuple(_build_factor(d) for d in ctx.labels)
+        # noncommuting[i]: vertices whose syllables do not commute with i's, i included
+        self.noncommuting = tuple(
+            tuple(j for j, u in enumerate(g.vertices) if not g.has_edge(u, v))
+            for v in g.vertices
+        )
 
 
 def normal_form(raw, ctx: LabeledGraph) -> NormalWord:
@@ -133,65 +137,61 @@ def normal_form(raw, ctx: LabeledGraph) -> NormalWord:
 
     Raises BadSyllable on unknown vertices or out-of-range elements.
     """
-    order, adj, factors = _ops(ctx)
-    word: list[tuple[str, int]] = []
+    t = ctx.word_tables
+    index, factors, noncommuting = t.index, t.factors, t.noncommuting
+    verts, elems = [], []  # elems[p] == 0: cancelled by a merge
+    stacks = [[] for _ in factors]
     for s in raw:
-        f = factors.get(s.vertex)
-        if f is None:
+        v = index.get(s.vertex)
+        if v is None:
             raise BadSyllable(s.vertex, s.element, "unknown vertex")
-        if not f.valid(s.element):
-            raise BadSyllable(s.vertex, s.element, "element outside the vertex group")
-        if s.element != 0:
-            word.append((s.vertex, s.element))
-    word = _reduce(word, adj, factors)
-    word = _canonical(word, order, adj)
-    return NormalWord(tuple(Syllable(v, e) for v, e in word))
-
-
-def _reduce(word, adj, factors):
-    """Delete identities and merge same-vertex syllables across commuting blocks."""
-    changed = True
-    while changed:
-        changed = False
-        n = len(word)
-        for i in range(n):
-            vi, ei = word[i]
-            for j in range(i + 1, n):
-                vj, ej = word[j]
-                if vj == vi:
-                    e = factors[vi].mul(ei, ej)
-                    del word[j]
-                    if e == 0:
-                        del word[i]
-                    else:
-                        word[i] = (vi, e)
-                    changed = True
+        e = s.element
+        f = factors[v]
+        if not f.valid(e):
+            raise BadSyllable(s.vertex, e, "element outside the vertex group")
+        if e == 0:
+            continue
+        stack = stacks[v]
+        if stack:
+            top = stack[-1]
+            for u in noncommuting[v]:
+                if stacks[u] and stacks[u][-1] > top:
                     break
-                if vj not in adj[vi]:
-                    break
-            if changed:
-                break
-    return word
-
-
-def _canonical(word, order, adj):
-    """Lexicographically least reordering reachable by commuting swaps.
-
-    A syllable may move to the front iff every earlier syllable commutes with
-    it; greedily emitting the least movable syllable yields the minimum.
-    """
-    out = []
-    rem = list(word)
-    while rem:
-        best = None
-        for i, (v, e) in enumerate(rem):
-            if any(rem[k][0] not in adj[v] for k in range(i)):
+            else:
+                e = elems[top] = f.mul(elems[top], e)
+                if e == 0:
+                    stack.pop()
                 continue
-            key = (order[v], e)
-            if best is None or key < best[0]:
-                best = (key, i)
-        out.append(rem.pop(best[1]))
-    return out
+        stack.append(len(verts))
+        verts.append(v)
+        elems.append(e)
+
+    succ = [[] for _ in verts]
+    indeg = [0] * len(verts)
+    last = [-1] * len(factors)
+    ready = []
+    for p, v in enumerate(verts):
+        if elems[p] == 0:
+            continue
+        for u in noncommuting[v]:
+            q = last[u]
+            if q >= 0:
+                succ[q].append(p)
+                indeg[p] += 1
+        last[v] = p
+        if not indeg[p]:
+            ready.append((v, elems[p], p))
+    heapq.heapify(ready)
+    names = t.names
+    out = []
+    while ready:
+        v, e, p = heapq.heappop(ready)
+        out.append(Syllable(names[v], e))
+        for q in succ[p]:
+            indeg[q] -= 1
+            if not indeg[q]:
+                heapq.heappush(ready, (verts[q], elems[q], q))
+    return NormalWord(tuple(out))
 
 
 def word_of(ctx: LabeledGraph, *pairs) -> NormalWord:
@@ -204,8 +204,8 @@ def multiply(w1: NormalWord, w2: NormalWord, ctx: LabeledGraph) -> NormalWord:
 
 
 def invert(w: NormalWord, ctx: LabeledGraph) -> NormalWord:
-    _, _, factors = _ops(ctx)
-    rev = [Syllable(s.vertex, factors[s.vertex].inv(s.element))
+    t = ctx.word_tables
+    rev = [Syllable(s.vertex, t.factors[t.index[s.vertex]].inv(s.element))
            for s in reversed(w.syllables)]
     return normal_form(rev, ctx)
 
@@ -221,12 +221,12 @@ def retract(w: NormalWord, u: str, v: str, ctx: LabeledGraph) -> NormalWord:
     Kills every syllable on other vertices, then renormalizes.  This is a group
     homomorphism precisely because u and v are required to be non-adjacent.
     """
-    order, adj, _ = _ops(ctx)
-    if u not in order or v not in order:
-        raise BadSyllable(u if u not in order else v, 0, "unknown vertex")
+    g = ctx.graph
+    if u not in g._order or v not in g._order:
+        raise BadSyllable(u if u not in g._order else v, 0, "unknown vertex")
     if u == v:
         raise SameVertex(f"retraction needs two distinct vertices, got {u!r} twice")
-    if v in adj[u]:
+    if g.has_edge(u, v):
         raise VerticesAdjacent(f"vertices {u!r} and {v!r} are adjacent")
     kept = [s for s in w.syllables if s.vertex in (u, v)]
     return normal_form(kept, ctx)
@@ -237,13 +237,12 @@ def commutes_with_all_generators(w: NormalWord, ctx: LabeledGraph) -> bool:
 
     Requires all vertex groups finite.
     """
-    _, _, factors = _ops(ctx)
+    t = ctx.word_tables
     w_inv = invert(w, ctx)
-    for v in ctx.graph.vertices:
-        f = factors[v]
-        if not f.finite:
+    for v, f in zip(t.names, t.factors):
+        if f.order is None:
             raise ValueError("centrality scan requires finite vertex groups")
-        for e in f.nontrivial_elements():
+        for e in range(1, f.order):
             s = NormalWord((Syllable(v, e),))
             s_inv = NormalWord((Syllable(v, f.inv(e)),))
             comm = multiply(multiply(w, s, ctx), multiply(w_inv, s_inv, ctx), ctx)

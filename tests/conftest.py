@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from gpkit import cyclic, graph, table_group, z2
+from gpkit.groups import order_of
 from gpkit.labeled import LabeledGraph
 from gpkit.words import Syllable, normal_form
 
@@ -44,15 +45,11 @@ def contexts_st(draw, min_n=1, max_n=4, labels=LABEL_POOL):
 
 @st.composite
 def words_st(draw, ctx, max_len=6):
-    from gpkit.words import _ops
-
-    _, _, factors = _ops(ctx)
     n = draw(st.integers(0, max_len))
     sylls = []
     for _ in range(n):
         v = draw(st.sampled_from(ctx.graph.vertices))
-        size = len(list(factors[v].nontrivial_elements())) + 1
-        e = draw(st.integers(1, size - 1))
+        e = draw(st.integers(1, order_of(ctx.label(v)) - 1))
         sylls.append(Syllable(v, e))
     return normal_form(sylls, ctx)
 

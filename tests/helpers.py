@@ -14,6 +14,7 @@ import itertools
 import string
 
 from gpkit import graph, validate
+from gpkit.groups import concrete_table, order_of
 from gpkit.graphs import SimplicialGraph
 from gpkit.labeled import LabeledGraph
 from gpkit.tree import FreeProduct, TreeVertex, base, vertex_of
@@ -128,16 +129,13 @@ class WordSystem:
     """Raw rewriting view of one labeled graph, on plain (vertex, element) tuples."""
 
     def __init__(self, ctx: LabeledGraph):
-        from gpkit.words import _ops
-
         self.ctx = ctx
-        order, adj, factors = _ops(ctx)
-        self.adj = adj
-        self.factors = factors
+        self.adj = ctx.graph._adj
+        self.factors = _reference_factors(ctx)
         self.alphabet = [
             (v, e)
             for v in ctx.graph.vertices
-            for e in factors[v].nontrivial_elements()
+            for e in range(1, order_of(ctx.label(v)))
         ]
 
     def moves(self, word):
@@ -228,6 +226,78 @@ def equality_classes(system: WordSystem, length: int):
     for w in list(uf.parent):
         classes.setdefault(uf.find(w), set()).add(w)
     return list(classes.values())
+
+
+# ---------------------------------------------------------------------------
+# Reference normal form: restart-after-every-merge reduction and a greedy
+# lexicographically least reordering, O(L^2) to O(L^3).  normal_form must agree
+# with it on every input.
+
+class _IntegerAddition:
+    def mul(self, a, b):
+        return a + b
+
+
+def _reference_factors(ctx: LabeledGraph):
+    """Vertex name -> object with mul: full tables for finite groups, + for Z."""
+    return {
+        v: _IntegerAddition() if d.kind == "Z" else concrete_table(d)
+        for v, d in zip(ctx.graph.vertices, ctx.labels)
+    }
+
+
+def reference_normal_form(raw, ctx: LabeledGraph) -> NormalWord:
+    """Canonical word of a sequence of valid syllables, by the slow route."""
+    word = [(s.vertex, s.element) for s in raw if s.element != 0]
+    word = _reduce(word, ctx.graph._adj, _reference_factors(ctx))
+    word = _canonical(word, ctx.graph._order, ctx.graph._adj)
+    return NormalWord(tuple(Syllable(v, e) for v, e in word))
+
+
+def _reduce(word, adj, factors):
+    """Delete identities and merge same-vertex syllables across commuting blocks."""
+    changed = True
+    while changed:
+        changed = False
+        n = len(word)
+        for i in range(n):
+            vi, ei = word[i]
+            for j in range(i + 1, n):
+                vj, ej = word[j]
+                if vj == vi:
+                    e = factors[vi].mul(ei, ej)
+                    del word[j]
+                    if e == 0:
+                        del word[i]
+                    else:
+                        word[i] = (vi, e)
+                    changed = True
+                    break
+                if vj not in adj[vi]:
+                    break
+            if changed:
+                break
+    return word
+
+
+def _canonical(word, order, adj):
+    """Lexicographically least reordering reachable by commuting swaps.
+
+    A syllable may move to the front iff every earlier syllable commutes with
+    it; greedily emitting the least movable syllable yields the minimum.
+    """
+    out = []
+    rem = list(word)
+    while rem:
+        best = None
+        for i, (v, e) in enumerate(rem):
+            if any(rem[k][0] not in adj[v] for k in range(i)):
+                continue
+            key = (order[v], e)
+            if best is None or key < best[0]:
+                best = (key, i)
+        out.append(rem.pop(best[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -239,3 +239,24 @@ def test_exit_status_zero_iff_no_error():
     assert good[0] == 0
     bad = run(CommandRequest("graph-info", str(FIXTURES / "nope.graph")))
     assert bad[0] == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--radius", "-3"],
+    ["--radius", "two"],
+    ["--gens-a", "x"],
+    ["--gens-b", "1,y"],
+])
+def test_bad_tree_flags_are_usage_errors(flags, capsys):
+    """Rejected by argparse: exit status 2 and one error line, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["tree", str(FIXTURES / "fp23.graph"), "-u", "a", "-v", "b", "--wpd", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("gpkit tree: error: argument")
+    assert "Traceback" not in err
+
+
+def test_tree_radius_zero_is_accepted():
+    argv = ["tree", str(FIXTURES / "fp23.graph"), "-u", "a", "-v", "b", "--wpd"]
+    assert main([*argv, "--radius", "0", "--gens-a", "1"]) == 0

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import gpkit.groups
 from gpkit import cyclic, graph, infinite_cyclic, opaque, table_group, uniform, z2
 from gpkit.graphs import join_decompose
-from gpkit.groups import QuotientFlags
+from gpkit.groups import QuotientFlags, order_of
 from gpkit.labeled import LabeledGraph
 from gpkit.words import (
     IDENTITY,
@@ -23,7 +24,16 @@ from gpkit.words import (
 )
 
 from .conftest import context_and_words_st, contexts_st
-from .helpers import WordSystem, all_graphs, equality_classes, s3_table
+from .helpers import (
+    WordSystem,
+    all_graphs,
+    d4_table,
+    equality_classes,
+    random_graph,
+    reference_normal_form,
+    relabel,
+    s3_table,
+)
 
 P3_Z2 = uniform(graph("abc", ["ab", "bc"]), z2())
 
@@ -204,3 +214,43 @@ def test_reduced_closure_members_have_equal_length(ctx):
             assert any(
                 len(mv) < len(o) for o in orbit for mv in system.moves(o)
             )
+
+
+def _random_context(rng):
+    """1-7 vertices declared in shuffled name order, mixed vertex groups."""
+    n = rng.randint(1, 7)
+    g = random_graph(rng, n, rng.random())
+    g = relabel(g, dict(zip(g.vertices, rng.sample(g.vertices, n))))
+    pool = (z2(), cyclic(3), cyclic(5), table_group(s3_table()), table_group(d4_table()),
+            infinite_cyclic())
+    return LabeledGraph(g, tuple(rng.choice(pool) for _ in g.vertices))
+
+
+def _random_syllable(rng, ctx):
+    v = rng.choice(ctx.graph.vertices)
+    desc = ctx.label(v)
+    if desc.kind == "Z":
+        return Syllable(v, rng.randint(-3, 3))
+    return Syllable(v, rng.randrange(order_of(desc)))
+
+
+def test_normal_form_matches_reference():
+    """The one-pass normal form equals the rescanning reference, syllable for syllable."""
+    rng = random.Random(20240611)
+    for _ in range(1500):
+        ctx = _random_context(rng)
+        raw = [_random_syllable(rng, ctx) for _ in range(rng.randint(0, 40))]
+        assert normal_form(raw, ctx) == reference_normal_form(raw, ctx), (ctx, raw)
+
+
+def test_large_cyclic_factor_needs_no_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"cyclic_table({n}) built")
+
+    monkeypatch.setattr(gpkit.groups, "cyclic_table", refuse)
+    ctx = LabeledGraph(graph("ab"), (cyclic(40000), z2()))
+    w = word_of(ctx, ("a", 39999), ("b", 1), ("a", 2), ("a", 39999))
+    assert w.syllables == (Syllable("a", 39999), Syllable("b", 1), Syllable("a", 1))
+    assert multiply(w, invert(w, ctx), ctx) == IDENTITY
+    with pytest.raises(BadSyllable):
+        word_of(ctx, ("a", 40000))
