@@ -14,6 +14,7 @@ from .graphs import (
     matches_complete_join_pairs,
 )
 from .groups import (
+    GpkitError,
     GroupDescriptor,
     MultTable,
     NotAGroup,
@@ -45,7 +46,7 @@ from .words import (
 )
 
 __all__ = [
-    "BadSyllable", "GroupDescriptor", "IDENTITY", "JoinDecomposition",
+    "BadSyllable", "GpkitError", "GroupDescriptor", "IDENTITY", "JoinDecomposition",
     "LabeledGraph", "MultTable", "NormalWord", "NotAGroup", "QuotientFlags",
     "SilWitness", "SimplicialGraph", "Syllable", "automorphisms", "center",
     "central_quotient", "commutes_with_all_generators", "complement", "cyclic",

@@ -14,15 +14,13 @@ from dataclasses import dataclass
 from .graphs import (
     JoinDecomposition,
     SimplicialGraph,
-    find_sil,
-    induced,
     is_complete,
     is_molecular,
     join_decompose,
     join_pairs_partition,
     matches_complete_join_pairs,
 )
-from .groups import NO, UNKNOWN, YES, is_finite, is_z2, order_of, quotient_flags
+from .groups import NO, UNKNOWN, YES, GpkitError, is_finite, is_z2, order_of, quotient_flags
 from .labeled import LabeledGraph
 
 SQ_UNIVERSAL = "sq_universal"
@@ -37,17 +35,13 @@ _PROPERTY_TEXT = {
 }
 
 
-class NonFiniteLabel(ValueError):
+class NonFiniteLabel(GpkitError):
     """Operation restricted to all-finite vertex groups got something else."""
 
 
-class NotMolecular(ValueError):
+class NotMolecular(GpkitError):
     """The molecular-graph verdict applies to molecular graphs, single vertices
     and single edges only."""
-
-
-class InternalConsistencyError(AssertionError):
-    """The two independent routes of the equivalence report disagreed."""
 
 
 def tri_not(v: str) -> str:
@@ -83,8 +77,9 @@ class EquivalenceSummary:
     """The six-way equivalence on an all-finite instance.
 
     entries holds the six statements in order; by the equivalence they all
-    carry the same truth value, and the last one is computed by a second,
-    independent route (explicit virtual-abelianness of the graph product).
+    carry the same truth value, the negation of virtually_abelian.  The graph
+    product is virtually abelian exactly when every core vertex has order 2 and
+    the core is a join of a clique with non-adjacent pairs.
     """
 
     entries: tuple[bool, bool, bool, bool, bool, bool]
@@ -161,13 +156,15 @@ def classify_vastness(ctx: LabeledGraph, prop: str, assume_admissible: bool = Fa
     the caller then vouches for the closure conditions the schema needs.
     """
     if prop not in ADMISSIBLE_PROPERTIES and not assume_admissible:
-        raise ValueError(
+        raise GpkitError(
             f"property {prop!r} is not one of {ADMISSIBLE_PROPERTIES}; "
             "pass assume_admissible to use it anyway"
         )
+    return _vastness(ctx, join_decompose(ctx.graph), prop)
+
+
+def _vastness(ctx: LabeledGraph, jd: JoinDecomposition, prop: str) -> Verdict:
     text = _PROPERTY_TEXT.get(prop, prop)
-    g = ctx.graph
-    jd = join_decompose(g)
     reasons = []
     clause_vals = []
 
@@ -193,8 +190,9 @@ def classify_vastness(ctx: LabeledGraph, prop: str, assume_admissible: bool = Fa
             break
     clause_vals.append(tri_or(cone_vals))
 
-    core_graph = induced(g, jd.core)
-    pairs_join = matches_complete_join_pairs(core_graph)
+    # cone vertices are isolated in the complement, so the core is a
+    # pairs-join exactly when the whole graph is
+    pairs_join = matches_complete_join_pairs(ctx.graph)
     clause_vals.append(NO if pairs_join else YES)
     if not pairs_join:
         reasons.append("core is not a join of a clique with non-adjacent pairs")
@@ -225,48 +223,38 @@ def classify_racg(g: SimplicialGraph, prop: str = SQ_UNIVERSAL) -> Verdict:
 def racg_large(g: SimplicialGraph) -> RacgLargeness:
     """Largeness of the all-order-2 graph product; when it fails, extract the
     explicit decomposition into order-2 factors and infinite dihedral factors."""
-    if not matches_complete_join_pairs(g):
-        return RacgLargeness(True, None)
     blocks = join_pairs_partition(g)
     if blocks is None:
-        raise InternalConsistencyError(
-            "degree criterion accepted a graph the partition search rejects"
-        )
+        return RacgLargeness(True, None)
     decomposition = tuple(
         ("Z2", b) if len(b) == 1 else ("Dinf", b) for b in blocks
     )
     return RacgLargeness(False, decomposition)
 
 
-def classify_equivalences(ctx: LabeledGraph) -> EquivalenceSummary:
-    """Six-way equivalence for all-finite vertex groups.
-
-    The first entry is the label/join criterion; the sixth is recomputed by an
-    independent route (virtual abelianness of the graph product via an explicit
-    partition of the core).  Disagreement raises InternalConsistencyError.
-    """
+def _require_finite(ctx: LabeledGraph) -> None:
     for v in ctx.graph.vertices:
         if is_finite(ctx.label(v)) is not True:
             raise NonFiniteLabel(f"vertex {v!r} is not labeled by a finite group")
-    jd = join_decompose(ctx.graph)
-    core_graph = induced(ctx.graph, jd.core)
+
+
+def classify_equivalences(ctx: LabeledGraph) -> EquivalenceSummary:
+    """Six-way equivalence for all-finite vertex groups, decided by the
+    label/join criterion of the first entry."""
+    _require_finite(ctx)
+    return _equivalences(ctx, join_decompose(ctx.graph))
+
+
+def _equivalences(ctx: LabeledGraph, jd: JoinDecomposition) -> EquivalenceSummary:
     has_non_z2 = any(order_of(ctx.label(v)) != 2 for v in jd.core)
-    entry_one = has_non_z2 or not matches_complete_join_pairs(core_graph)
-    virtually_abelian = (not has_non_z2) and join_pairs_partition(core_graph) is not None
-    if entry_one != (not virtually_abelian):
-        raise InternalConsistencyError(
-            "join criterion and virtual-abelianness route disagree"
-        )
-    entries = (entry_one,) * 5 + (not virtually_abelian,)
-    return EquivalenceSummary(entries, virtually_abelian)
+    virtually_abelian = not has_non_z2 and matches_complete_join_pairs(ctx.graph)
+    return EquivalenceSummary((not virtually_abelian,) * 6, virtually_abelian)
 
 
 def classify_aut_t(ctx: LabeledGraph) -> Verdict:
     """With finite vertex groups, the full automorphism group has property (T)
     exactly when the graph product itself is finite, i.e. the graph is complete."""
-    for v in ctx.graph.vertices:
-        if is_finite(ctx.label(v)) is not True:
-            raise NonFiniteLabel(f"vertex {v!r} is not labeled by a finite group")
+    _require_finite(ctx)
     if is_complete(ctx.graph):
         return Verdict(YES, (
             "graph complete with finite vertex groups: the graph product is finite",
@@ -316,13 +304,13 @@ def classify(ctx: LabeledGraph) -> ClassificationReport:
         )
 
     property_t = classify_T(ctx)
-    sq = classify_vastness(ctx, SQ_UNIVERSAL)
-    qh = classify_vastness(ctx, MANY_QUASIMORPHISMS)
-    nbg = classify_vastness(ctx, NOT_BOUNDEDLY_GENERATED)
+    sq = _vastness(ctx, jd, SQ_UNIVERSAL)
+    qh = _vastness(ctx, jd, MANY_QUASIMORPHISMS)
+    nbg = _vastness(ctx, jd, NOT_BOUNDEDLY_GENERATED)
     bounded = Verdict(tri_not(nbg.value), nbg.reasons)
 
     all_finite = all(is_finite(ctx.label(v)) is True for v in ctx.graph.vertices)
-    equivalences = classify_equivalences(ctx) if all_finite else None
+    equivalences = _equivalences(ctx, jd) if all_finite else None
     aut_t = classify_aut_t(ctx) if all_finite else None
     if not all_finite:
         notes.append("equivalence summary and finiteness verdict need all-finite labels")
@@ -348,11 +336,3 @@ def classify(ctx: LabeledGraph) -> ClassificationReport:
         notes=tuple(notes),
     )
 
-
-def sil_implies_vast(g: SimplicialGraph) -> bool:
-    """Cross-check: a graph containing a separated-intersection-of-links pair
-    never satisfies the pairs-join condition."""
-    witness = find_sil(g)
-    if witness is None:
-        return True
-    return not matches_complete_join_pairs(g)

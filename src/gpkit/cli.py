@@ -26,7 +26,7 @@ from . import graphs, groups, tree, words
 from .labeled import LabeledGraph
 
 
-class ParseError(ValueError):
+class ParseError(groups.GpkitError):
     def __init__(self, line: int, reason: str):
         self.line = line
         self.reason = reason
@@ -148,34 +148,6 @@ def parse_graph_file(text: str, base_dir: str | Path = ".") -> LabeledGraph:
     return LabeledGraph(g, tuple(labels[v] for v in order))
 
 
-def _descriptor_token(desc: groups.GroupDescriptor) -> str:
-    if desc.kind == "Z2":
-        return "Z2"
-    if desc.kind == "cyclic":
-        return f"Z/{desc.modulus}"
-    if desc.kind == "Z":
-        return "Z"
-    if desc.kind == "table":
-        if desc.source is None:
-            raise ValueError("table descriptor without a file source cannot be serialized")
-        return f"table:{desc.source}"
-    f = desc.flags
-    return (f"opaque{{T={f.kazhdan_t},SQ={f.sq_universal},"
-            f"QH={f.many_quasimorphisms},BG={f.boundedly_generated}}}")
-
-
-def serialize_graph_file(ctx: LabeledGraph) -> str:
-    """Canonical text form: vertices in order, then edges sorted by vertex order."""
-    g = ctx.graph
-    lines = [f"vertex {v} {_descriptor_token(ctx.label(v))}" for v in g.vertices]
-    pairs = sorted(
-        (sorted(e, key=g.index) for e in g.edges),
-        key=lambda p: (g.index(p[0]), g.index(p[1])),
-    )
-    lines.extend(f"edge {a} {b}" for a, b in pairs)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Word literals
 
@@ -292,6 +264,9 @@ def format_report_text(report_dict: dict) -> str:
 
 @dataclass
 class CommandRequest:
+    """One gpkit invocation; the fields are the command-line options, each
+    defaulted here and nowhere else."""
+
     subcommand: str
     path: str
     as_json: bool = False
@@ -305,21 +280,6 @@ class CommandRequest:
     radius: int = 6
     vast_property: str | None = None
     assume_conditions: bool = False
-
-
-_KNOWN_ERRORS = (
-    ParseError,
-    groups.NotAGroup,
-    groups.OrderTooLarge,
-    words.BadSyllable,
-    words.SameVertex,
-    words.VerticesAdjacent,
-    tree.NotGenerating,
-    tree.IdentityGenerator,
-    cls.NonFiniteLabel,
-    cls.NotMolecular,
-    ValueError,
-)
 
 
 def _load(request: CommandRequest) -> LabeledGraph:
@@ -438,7 +398,7 @@ def _run_tree(request: CommandRequest) -> str:
                 f"survivors: {len(cert.survivors)}\n"
                 f"valid: {cert.valid}\n"
                 f"malnormal within radius {request.radius}: {malnormal}\n")
-    raise ValueError("tree needs either --axis or --wpd")
+    raise groups.GpkitError("tree needs either --axis or --wpd")
 
 
 def run(request: CommandRequest) -> tuple[int, str]:
@@ -456,7 +416,7 @@ def run(request: CommandRequest) -> tuple[int, str]:
         return 0, handler(request)
     except OSError as exc:
         return 1, str(exc)
-    except _KNOWN_ERRORS as exc:
+    except groups.GpkitError as exc:
         return 1, f"{type(exc).__name__}: {exc}"
 
 
@@ -467,26 +427,27 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    pc = sub.add_parser("classify", help="evaluate every classification verdict")
-    pc.add_argument("path")
-    pc.add_argument("--json", action="store_true")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # options absent from argv stay out of the namespace, so the
+        # CommandRequest defaults apply
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        sp.add_argument("path")
+        sp.add_argument("--json", dest="as_json", action="store_true")
+        return sp
+
+    pc = command("classify", "evaluate every classification verdict")
     pc.add_argument("--property", dest="vast_property",
                     help="custom vastness property name (needs --assume-conditions-i-v)")
     pc.add_argument("--assume-conditions-i-v", dest="assume_conditions",
                     action="store_true",
                     help="vouch that the custom property satisfies the closure conditions")
 
-    pg = sub.add_parser("graph-info", help="combinatorial profile of the graph")
-    pg.add_argument("path")
-    pg.add_argument("--json", action="store_true")
+    command("graph-info", "combinatorial profile of the graph")
 
-    pw = sub.add_parser("word", help="normal form of a word literal")
-    pw.add_argument("path")
+    pw = command("word", "normal form of a word literal")
     pw.add_argument("--compute", required=True, dest="literal")
-    pw.add_argument("--json", action="store_true")
 
-    pt = sub.add_parser("tree", help="axis data or stabilizer certificate")
-    pt.add_argument("path")
+    pt = command("tree", "axis data or stabilizer certificate")
     pt.add_argument("-u", required=True)
     pt.add_argument("-v", required=True)
     group = pt.add_mutually_exclusive_group(required=True)
@@ -494,8 +455,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--wpd", action="store_true")
     pt.add_argument("--gens-a", type=_parse_gens, help="comma-separated element indices")
     pt.add_argument("--gens-b", type=_parse_gens, help="comma-separated element indices")
-    pt.add_argument("--radius", type=_radius, default=6)
-    pt.add_argument("--json", action="store_true")
+    pt.add_argument("--radius", type=_radius)
     return p
 
 
@@ -507,29 +467,13 @@ def _parse_gens(text: str) -> tuple[int, ...]:
 
 
 def _radius(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"radius must be a non-negative integer, got {text!r}")
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"radius must be a positive integer, got {text!r}")
     return int(text)
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
-    request = CommandRequest(
-        subcommand=ns.subcommand,
-        path=ns.path,
-        as_json=getattr(ns, "json", False),
-        literal=getattr(ns, "literal", None),
-        u=getattr(ns, "u", None),
-        v=getattr(ns, "v", None),
-        axis=getattr(ns, "axis", None),
-        wpd=getattr(ns, "wpd", False),
-        gens_a=getattr(ns, "gens_a", None),
-        gens_b=getattr(ns, "gens_b", None),
-        radius=getattr(ns, "radius", 6),
-        vast_property=getattr(ns, "vast_property", None),
-        assume_conditions=getattr(ns, "assume_conditions", False),
-    )
-    status, output = run(request)
+    status, output = run(CommandRequest(**vars(_parser().parse_args(argv))))
     if status == 0:
         sys.stdout.write(output)
     else:

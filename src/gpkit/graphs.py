@@ -149,43 +149,31 @@ def matches_complete_join_pairs(g: SimplicialGraph) -> bool:
 
 
 def join_pairs_partition(g: SimplicialGraph):
-    """Search for an explicit partition witnessing matches_complete_join_pairs.
+    """The partition witnessing matches_complete_join_pairs, read off the
+    complement, or None when g is not a pairs-join.
 
-    Tries every partition of the vertices into singletons and pairs, and checks
-    the join condition by definition: pair blocks are non-edges and every pair
-    of vertices in different blocks is an edge.  Returns the blocks (tuples in
-    vertex order) or None.  Deliberately a dumb search; it serves as the second
-    route in consistency checks.
+    Blocks are the singletons of universal vertices (isolated in the
+    complement) and the non-adjacent pairs (complement edges), as tuples in
+    vertex order, listed by their first vertex.
+
+    >>> join_pairs_partition(graph("abcd", ["ab", "bc", "cd", "da"]))
+    (('a', 'c'), ('b', 'd'))
+    >>> join_pairs_partition(graph("abc", ["ab"])) is None
+    True
     """
-    vs = list(g.vertices)
-
-    def fits(block, blocks) -> bool:
-        if len(block) == 2 and g.has_edge(block[0], block[1]):
-            return False
-        for b in blocks:
-            for x in block:
-                for y in b:
-                    if not g.has_edge(x, y):
-                        return False
-        return True
-
-    def search(rest, blocks):
-        if not rest:
-            return tuple(blocks)
-        head, tail = rest[0], rest[1:]
-        if fits((head,), blocks):
-            found = search(tail, blocks + [(head,)])
-            if found is not None:
-                return found
-        for i, other in enumerate(tail):
-            block = (head, other)
-            if fits(block, blocks):
-                found = search(tail[:i] + tail[i + 1:], blocks + [block])
-                if found is not None:
-                    return found
-        return None
-
-    return search(vs, [])
+    n = len(g.vertices)
+    blocks = []
+    for v in g.vertices:
+        d = g.degree(v)
+        if d == n - 1:
+            blocks.append((v,))
+        elif d < n - 2:
+            return None
+        else:
+            w = next(w for w in g.vertices if w != v and not g.has_edge(v, w))
+            if g.index(w) > g.index(v):
+                blocks.append((v, w))
+    return tuple(blocks)
 
 
 def distance(g: SimplicialGraph, u: str, v: str) -> float:

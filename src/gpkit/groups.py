@@ -17,12 +17,23 @@ UNKNOWN = "unknown"
 TRI_STATES = (YES, NO, UNKNOWN)
 
 
-class NotAGroup(ValueError):
+# Largest table order automorphisms() enumerates by default.
+AUTOMORPHISM_ORDER_BOUND = 12
+
+
+class GpkitError(ValueError):
+    """Base class of the errors gpkit raises on bad input."""
+
+
+class NotAGroup(GpkitError):
     """Raised when a raw table violates a group axiom."""
 
 
-class OrderTooLarge(ValueError):
+class OrderTooLarge(GpkitError):
     """Raised when automorphism enumeration is asked for a table above the bound."""
+
+    def __init__(self, n: int, bound: int):
+        super().__init__(f"table order {n} exceeds bound {bound}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,9 @@ def central_quotient(table: MultTable) -> MultTable:
     return validate(rows)
 
 
-def automorphisms(table: MultTable, max_order: int = 12) -> list[tuple[int, ...]]:
+def automorphisms(
+    table: MultTable, max_order: int = AUTOMORPHISM_ORDER_BOUND
+) -> list[tuple[int, ...]]:
     """All product-preserving bijections fixing 0, as permutations of indices.
 
     Enumeration is a backtracking search with product propagation; the element
@@ -138,7 +151,7 @@ def automorphisms(table: MultTable, max_order: int = 12) -> list[tuple[int, ...]
     """
     n = table.order
     if n > max_order:
-        raise OrderTooLarge(f"table order {n} exceeds bound {max_order}")
+        raise OrderTooLarge(n, max_order)
     orders = [table.element_order(a) for a in range(n)]
 
     def propagate(phi: dict[int, int]):
@@ -262,7 +275,7 @@ class GroupDescriptor:
         if self.kind == "cyclic" and (self.modulus is None or self.modulus < 2):
             raise ValueError("cyclic descriptors need modulus >= 2")
         if self.kind == "table" and (self.table is None or self.table.order < 2):
-            raise ValueError("table descriptors must be non-trivial groups")
+            raise GpkitError("table descriptors must be non-trivial groups")
 
 
 def z2() -> GroupDescriptor:
@@ -320,7 +333,7 @@ def concrete_table(desc: GroupDescriptor) -> MultTable:
         return cyclic_table(desc.modulus)
     if desc.kind == "table":
         return desc.table
-    raise ValueError(f"descriptor kind {desc.kind!r} has no finite table")
+    raise GpkitError(f"descriptor kind {desc.kind!r} has no finite table")
 
 
 def quotient_flags(desc: GroupDescriptor) -> QuotientFlags:

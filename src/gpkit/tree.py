@@ -14,15 +14,32 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import SimplicialGraph
-from .groups import automorphisms, concrete_table, identity_perm, minimal_generating_set, subgroup_closure
+from .groups import (
+    AUTOMORPHISM_ORDER_BOUND,
+    GpkitError,
+    OrderTooLarge,
+    automorphisms,
+    concrete_table,
+    identity_perm,
+    minimal_generating_set,
+    order_of,
+    subgroup_closure,
+)
 from .labeled import LabeledGraph
-from .words import IDENTITY, NormalWord, Syllable, invert, multiply, normal_form
+from .words import (
+    IDENTITY,
+    BadSyllable,
+    NormalWord,
+    SameVertex,
+    Syllable,
+    VerticesAdjacent,
+    invert,
+    multiply,
+    normal_form,
+)
 
-GENERATES_ALL = "GeneratesAll"
-NOT_WITHIN_RADIUS = "NotWithinRadius"
 
-
-class NotGenerating(ValueError):
+class NotGenerating(GpkitError):
     """A supplied generator list spans a proper subgroup of its factor."""
 
     def __init__(self, side):
@@ -30,7 +47,7 @@ class NotGenerating(ValueError):
         super().__init__(f"generators for vertex {side!r} do not generate its group")
 
 
-class IdentityGenerator(ValueError):
+class IdentityGenerator(GpkitError):
     """Generator lists must consist of non-identity elements."""
 
 
@@ -61,12 +78,12 @@ class FreeProduct:
 def free_product(ctx: LabeledGraph, u: str, v: str) -> FreeProduct:
     """Extract the free-product context of two non-adjacent vertices of ctx."""
     if u == v:
-        raise ValueError("need two distinct vertices")
+        raise SameVertex(f"need two distinct vertices, got {u!r} twice")
     if u not in ctx.graph._order or v not in ctx.graph._order:
         missing = u if u not in ctx.graph._order else v
-        raise ValueError(f"unknown vertex {missing!r}")
+        raise BadSyllable(missing, 0, "unknown vertex")
     if ctx.graph.has_edge(u, v):
-        raise ValueError(f"vertices {u!r} and {v!r} are adjacent")
+        raise VerticesAdjacent(f"vertices {u!r} and {v!r} are adjacent")
     sub = SimplicialGraph((u, v), frozenset())
     return FreeProduct(LabeledGraph(sub, (ctx.label(u), ctx.label(v))))
 
@@ -214,12 +231,7 @@ def ball_elements(fp: FreeProduct, radius: int):
     Alternating words over the two factors are already in normal form, so they
     are generated directly.
     """
-    ta = fp.factor_table(fp.sides[0])
-    tb = fp.factor_table(fp.sides[1])
-    nontrivial = {
-        fp.sides[0]: range(1, ta.order),
-        fp.sides[1]: range(1, tb.order),
-    }
+    nontrivial = {side: range(1, fp.factor_table(side).order) for side in fp.sides}
     out = [IDENTITY]
     level = [()]
     for _ in range(radius):
@@ -232,39 +244,6 @@ def ball_elements(fp: FreeProduct, radius: int):
                     nxt.append(word + (Syllable(v, e),))
         out.extend(NormalWord(w) for w in nxt)
         level = nxt
-    return out
-
-
-def tree_ball(fp: FreeProduct, radius: int, center: TreeVertex | None = None):
-    """All tree vertices within the given distance of center (default: first base)."""
-    if center is None:
-        center = base(fp, fp.sides[0])
-    nontrivial = {
-        side: range(1, fp.factor_table(side).order) for side in fp.sides
-    }
-    # representatives of vertices within the ball are at most this long
-    depth = radius + len(center.rep)
-    words = [()]
-    level = [()]
-    for _ in range(depth):
-        nxt = []
-        for word in level:
-            for v in fp.sides:
-                if word and word[-1].vertex == v:
-                    continue
-                for e in nontrivial[v]:
-                    nxt.append(word + (Syllable(v, e),))
-        words.extend(nxt)
-        level = nxt
-    out = []
-    for side in fp.sides:
-        for wtuple in words:
-            if wtuple and wtuple[-1].vertex == side:
-                continue
-            x = TreeVertex(side, NormalWord(wtuple))
-            if tree_distance(fp, center, x) <= radius:
-                out.append(x)
-    out.sort(key=lambda x: x.sort_key(fp))
     return out
 
 
@@ -295,39 +274,6 @@ def malnormality_check(fp: FreeProduct, side: str, radius: int) -> bool:
     return True
 
 
-def stabilizer_elements(fp: FreeProduct, x: TreeVertex):
-    """The full point stabilizer of x inside the free product: rep * factor * rep^-1."""
-    table = fp.factor_table(x.side)
-    rep_inv = invert(x.rep, fp.ctx)
-    out = []
-    for e in range(1, table.order):
-        s = NormalWord((Syllable(x.side, e),))
-        out.append(multiply(multiply(x.rep, s, fp.ctx), rep_inv, fp.ctx))
-    return out
-
-
-def generation_probe(fp: FreeProduct, x: TreeVertex, y: TreeVertex, radius: int) -> str:
-    """One-sided test that the two point stabilizers generate the whole group.
-
-    Expands products of at most `radius` stabilizer elements; GeneratesAll as
-    soon as every factor element appears, NotWithinRadius otherwise.  A
-    negative answer never claims non-generation.
-    """
-    gens = set(stabilizer_elements(fp, x)) | set(stabilizer_elements(fp, y))
-    targets = set()
-    for side in fp.sides:
-        table = fp.factor_table(side)
-        targets |= {NormalWord((Syllable(side, e),)) for e in range(1, table.order)}
-    seen = {IDENTITY}
-    level = {IDENTITY}
-    for _ in range(radius):
-        if targets <= seen:
-            return GENERATES_ALL
-        level = {multiply(w, s, fp.ctx) for w in level for s in gens} - seen
-        seen |= level
-    return GENERATES_ALL if targets <= seen else NOT_WITHIN_RADIUS
-
-
 def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate:
     """Build the alternating element from the generator lists and certify that
     only the identity automorphism pair fixes the four axis vertices.
@@ -336,6 +282,10 @@ def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate
     are padded to equal length by cycling the shorter list.
     """
     side_a, side_b = fp.sides
+    for side in fp.sides:
+        n = order_of(fp.ctx.label(side))
+        if n is not None and n > AUTOMORPHISM_ORDER_BOUND:
+            raise OrderTooLarge(n, AUTOMORPHISM_ORDER_BOUND)
     ta = fp.factor_table(side_a)
     tb = fp.factor_table(side_b)
     gens_a = list(gens_a) if gens_a is not None else list(minimal_generating_set(ta))
@@ -343,10 +293,11 @@ def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate
     for side, gens, table in ((side_a, gens_a, ta), (side_b, gens_b, tb)):
         if not gens:
             raise NotGenerating(side)
-        if any(e == 0 for e in gens):
+        if 0 in gens:
             raise IdentityGenerator(f"identity listed as a generator for vertex {side!r}")
-        if any(not 0 < e < table.order for e in gens):
-            raise ValueError(f"generator out of range for vertex {side!r}")
+        bad = next((e for e in gens if not 0 < e < table.order), None)
+        if bad is not None:
+            raise BadSyllable(side, bad, "generator outside the vertex group")
         if len(subgroup_closure(table, gens)) != table.order:
             raise NotGenerating(side)
     n = max(len(gens_a), len(gens_b))

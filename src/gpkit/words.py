@@ -27,11 +27,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .groups import GroupDescriptor, order_of
+from .groups import GpkitError, GroupDescriptor, order_of
 from .labeled import LabeledGraph
 
 
-class BadSyllable(ValueError):
+class BadSyllable(GpkitError):
     """Syllable with an unknown vertex or an element invalid for its factor."""
 
     def __init__(self, vertex, element, why=""):
@@ -40,12 +40,12 @@ class BadSyllable(ValueError):
         super().__init__(f"bad syllable ({vertex!r}, {element!r}){': ' + why if why else ''}")
 
 
-class SameVertex(ValueError):
-    """Retraction target vertices must be distinct."""
+class SameVertex(GpkitError):
+    """Retraction and free-product vertices must be distinct."""
 
 
-class VerticesAdjacent(ValueError):
-    """Retraction target vertices must be non-adjacent."""
+class VerticesAdjacent(GpkitError):
+    """Retraction and free-product vertices must be non-adjacent."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def _build_factor(desc: GroupDescriptor) -> _Factor:
         return _CyclicFactor(order_of(desc))
     if desc.kind == "table":
         return _TableFactor(desc.table)
-    raise ValueError("opaque vertex groups are not computable; the word engine rejects them")
+    raise GpkitError("opaque vertex groups are not computable; the word engine rejects them")
 
 
 class WordTables:

@@ -1,5 +1,6 @@
-"""Shared test machinery: concrete group tables, graph enumerators, and the
-brute-force oracles the engine implementations are checked against.
+"""Shared test machinery: concrete group tables, graph enumerators, the
+brute-force oracles the engine implementations are checked against, and
+helpers that only the tests use.
 
 The word oracle knows nothing about normal forms.  It only applies the three
 defining rewrite moves (swap adjacent commuting syllables, merge adjacent
@@ -14,11 +15,18 @@ import itertools
 import string
 
 from gpkit import graph, validate
-from gpkit.groups import concrete_table, order_of
-from gpkit.graphs import SimplicialGraph
+from gpkit.graphs import SimplicialGraph, find_sil, matches_complete_join_pairs
+from gpkit.groups import GroupDescriptor, concrete_table, order_of
 from gpkit.labeled import LabeledGraph
-from gpkit.tree import FreeProduct, TreeVertex, base, vertex_of
-from gpkit.words import IDENTITY, NormalWord, Syllable, multiply
+from gpkit.tree import (
+    FreeProduct,
+    TreeVertex,
+    ball_elements,
+    base,
+    tree_distance,
+    vertex_of,
+)
+from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply
 
 
 # ---------------------------------------------------------------------------
@@ -335,3 +343,143 @@ def bfs_distances(fp: FreeProduct, center: TreeVertex, radius: int):
 def fp_of(desc_a, desc_b) -> FreeProduct:
     g = graph("ab")
     return FreeProduct(LabeledGraph(g, (desc_a, desc_b)))
+
+
+def tree_ball(fp: FreeProduct, radius: int, center: TreeVertex | None = None):
+    """All tree vertices within the given distance of center (default: first base)."""
+    if center is None:
+        center = base(fp, fp.sides[0])
+    # representatives of vertices within the ball are at most this long
+    out = []
+    for w in ball_elements(fp, radius + len(center.rep)):
+        for side in fp.sides:
+            if w.syllables and w.syllables[-1].vertex == side:
+                continue
+            x = TreeVertex(side, w)
+            if tree_distance(fp, center, x) <= radius:
+                out.append(x)
+    out.sort(key=lambda x: x.sort_key(fp))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Stabilizer generation probe
+
+GENERATES_ALL = "GeneratesAll"
+NOT_WITHIN_RADIUS = "NotWithinRadius"
+
+
+def stabilizer_elements(fp: FreeProduct, x: TreeVertex):
+    """The full point stabilizer of x inside the free product: rep * factor * rep^-1."""
+    table = fp.factor_table(x.side)
+    rep_inv = invert(x.rep, fp.ctx)
+    out = []
+    for e in range(1, table.order):
+        s = NormalWord((Syllable(x.side, e),))
+        out.append(multiply(multiply(x.rep, s, fp.ctx), rep_inv, fp.ctx))
+    return out
+
+
+def generation_probe(fp: FreeProduct, x: TreeVertex, y: TreeVertex, radius: int) -> str:
+    """One-sided test that the two point stabilizers generate the whole group.
+
+    Expands products of at most `radius` stabilizer elements; GeneratesAll as
+    soon as every factor element appears, NotWithinRadius otherwise.  A
+    negative answer never claims non-generation.
+    """
+    gens = set(stabilizer_elements(fp, x)) | set(stabilizer_elements(fp, y))
+    targets = set()
+    for side in fp.sides:
+        table = fp.factor_table(side)
+        targets |= {NormalWord((Syllable(side, e),)) for e in range(1, table.order)}
+    seen = {IDENTITY}
+    level = {IDENTITY}
+    for _ in range(radius):
+        if targets <= seen:
+            return GENERATES_ALL
+        level = {multiply(w, s, fp.ctx) for w in level for s in gens} - seen
+        seen |= level
+    return GENERATES_ALL if targets <= seen else NOT_WITHIN_RADIUS
+
+
+# ---------------------------------------------------------------------------
+# Join-pairs partition by search
+
+def reference_join_pairs_partition(g: SimplicialGraph):
+    """Search for an explicit partition witnessing matches_complete_join_pairs.
+
+    Tries every partition of the vertices into singletons and pairs, and checks
+    the join condition by definition: pair blocks are non-edges and every pair
+    of vertices in different blocks is an edge.  Returns the blocks (tuples in
+    vertex order) or None.  Deliberately a dumb search; it serves as the second
+    route in consistency checks.
+    """
+    vs = list(g.vertices)
+
+    def fits(block, blocks) -> bool:
+        if len(block) == 2 and g.has_edge(block[0], block[1]):
+            return False
+        for b in blocks:
+            for x in block:
+                for y in b:
+                    if not g.has_edge(x, y):
+                        return False
+        return True
+
+    def search(rest, blocks):
+        if not rest:
+            return tuple(blocks)
+        head, tail = rest[0], rest[1:]
+        if fits((head,), blocks):
+            found = search(tail, blocks + [(head,)])
+            if found is not None:
+                return found
+        for i, other in enumerate(tail):
+            block = (head, other)
+            if fits(block, blocks):
+                found = search(tail[:i] + tail[i + 1:], blocks + [block])
+                if found is not None:
+                    return found
+        return None
+
+    return search(vs, [])
+
+
+def sil_implies_vast(g: SimplicialGraph) -> bool:
+    """Cross-check: a graph containing a separated-intersection-of-links pair
+    never satisfies the pairs-join condition."""
+    witness = find_sil(g)
+    if witness is None:
+        return True
+    return not matches_complete_join_pairs(g)
+
+
+# ---------------------------------------------------------------------------
+# Graph-file serializer
+
+def _descriptor_token(desc: GroupDescriptor) -> str:
+    if desc.kind == "Z2":
+        return "Z2"
+    if desc.kind == "cyclic":
+        return f"Z/{desc.modulus}"
+    if desc.kind == "Z":
+        return "Z"
+    if desc.kind == "table":
+        if desc.source is None:
+            raise ValueError("table descriptor without a file source cannot be serialized")
+        return f"table:{desc.source}"
+    f = desc.flags
+    return (f"opaque{{T={f.kazhdan_t},SQ={f.sq_universal},"
+            f"QH={f.many_quasimorphisms},BG={f.boundedly_generated}}}")
+
+
+def serialize_graph_file(ctx: LabeledGraph) -> str:
+    """Canonical text form: vertices in order, then edges sorted by vertex order."""
+    g = ctx.graph
+    lines = [f"vertex {v} {_descriptor_token(ctx.label(v))}" for v in g.vertices]
+    pairs = sorted(
+        (sorted(e, key=g.index) for e in g.edges),
+        key=lambda p: (g.index(p[0]), g.index(p[1])),
+    )
+    lines.extend(f"edge {a} {b}" for a, b in pairs)
+    return "\n".join(lines) + "\n"

@@ -17,15 +17,14 @@ import pytest
 import gpkit.classify as cls
 from gpkit import cyclic, graph, infinite_cyclic, table_group, uniform, z2
 from gpkit.cli import CommandRequest, run
-from gpkit.graphs import find_sil
-from gpkit.groups import YES
+from gpkit.graphs import find_sil, induced, join_decompose
+from gpkit.groups import YES, order_of
 from gpkit.labeled import LabeledGraph
 from gpkit.tree import (
     act,
     base,
     malnormality_check,
     translation_data,
-    tree_ball,
     tree_distance,
     vertex_of,
     wpd_certificate,
@@ -39,7 +38,9 @@ from .helpers import (
     fp_of,
     graph_iso_classes,
     random_graph,
+    reference_join_pairs_partition,
     s3_table,
+    tree_ball,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -200,6 +201,12 @@ def test_criterion_5_equivalence_consistency():
         assert summary.entries[0] == (sq == YES)
         assert summary.entries[0] == (not summary.virtually_abelian)
         assert summary.entries == (summary.entries[0],) * 6
+        # independent route: virtual abelianness from an explicit partition of the core
+        core = join_decompose(g).core
+        assert summary.virtually_abelian == (
+            all(order_of(ctx.label(v)) == 2 for v in core)
+            and reference_join_pairs_partition(induced(g, core)) is not None
+        )
     _passed(5, f"{instances} sampled instances on <= 5 vertices, exact agreement")
 
 

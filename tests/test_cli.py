@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 import gpkit.classify as cls
+import gpkit.cli as cli
+import gpkit.groups as groups
 from gpkit import cyclic, graph, uniform, z2
 from gpkit.cli import (
     CommandRequest,
@@ -18,11 +20,12 @@ from gpkit.cli import (
     parse_word_literal,
     report_to_dict,
     run,
-    serialize_graph_file,
 )
 from gpkit.groups import NotAGroup
 from gpkit.labeled import LabeledGraph
 from gpkit.words import BadSyllable
+
+from .helpers import serialize_graph_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -246,6 +249,7 @@ def test_exit_status_zero_iff_no_error():
     ["--radius", "two"],
     ["--gens-a", "x"],
     ["--gens-b", "1,y"],
+    ["--radius", "0"],
 ])
 def test_bad_tree_flags_are_usage_errors(flags, capsys):
     """Rejected by argparse: exit status 2 and one error line, no traceback."""
@@ -257,6 +261,40 @@ def test_bad_tree_flags_are_usage_errors(flags, capsys):
     assert "Traceback" not in err
 
 
-def test_tree_radius_zero_is_accepted():
-    argv = ["tree", str(FIXTURES / "fp23.graph"), "-u", "a", "-v", "b", "--wpd"]
-    assert main([*argv, "--radius", "0", "--gens-a", "1"]) == 0
+@pytest.mark.parametrize("argv, error", [
+    (["tree", "p3.graph", "-u", "a", "-v", "a", "--wpd"], "SameVertex"),
+    (["tree", "p3.graph", "-u", "a", "-v", "zz", "--wpd"], "BadSyllable"),
+    (["tree", "p3.graph", "-u", "a", "-v", "b", "--wpd"], "VerticesAdjacent"),
+    (["word", "mixed.graph", "--compute", "a[1]"], "GpkitError"),
+    (["tree", "mixed.graph", "-u", "a", "-v", "c", "--wpd"], "GpkitError"),
+    (["tree", "fp23.graph", "-u", "a", "-v", "b", "--wpd", "--gens-a", "9"], "BadSyllable"),
+    (["classify", "c4.graph", "--property", "foo"], "GpkitError"),
+])
+def test_input_errors_exit_one_with_one_line(argv, error, capsys):
+    cmd, path, *flags = argv
+    assert main([cmd, str(FIXTURES / path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"{error}: ")
+
+
+def test_internal_value_error_is_not_a_user_error(monkeypatch):
+    def broken(request):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "_run_classify", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["classify", str(FIXTURES / "c4.graph")])
+
+
+def test_wpd_rejects_large_factor_before_building_tables(tmp_path, monkeypatch, capsys):
+    def no_tables(n):
+        raise AssertionError(f"cyclic_table({n}) built")
+
+    monkeypatch.setattr(groups, "cyclic_table", no_tables)
+    path = tmp_path / "big.graph"
+    path.write_text("vertex a Z/40000\nvertex b Z2\n")
+    assert main(["tree", str(path), "-u", "a", "-v", "b", "--wpd"]) == 1
+    err = capsys.readouterr().err
+    assert err == "OrderTooLarge: table order 40000 exceeds bound 12\n"

@@ -23,7 +23,7 @@ from gpkit.graphs import (
 )
 
 from .conftest import graphs_st
-from .helpers import all_graphs, random_graph
+from .helpers import all_graphs, random_graph, reference_join_pairs_partition
 
 P3 = graph("abc", ["ab", "bc"])
 P4 = graph("abcd", ["ab", "bc", "cd"])
@@ -126,20 +126,29 @@ def test_girth_values():
     assert girth(petersen) == 5
 
 
+def _check_partition_against_search(g):
+    blocks = join_pairs_partition(g)
+    assert blocks == reference_join_pairs_partition(g)
+    assert matches_complete_join_pairs(g) == (blocks is not None)
+
+
 def test_join_condition_against_partition_search_small():
     for n in range(7):
         for g in all_graphs(n):
-            assert matches_complete_join_pairs(g) == (join_pairs_partition(g) is not None)
+            _check_partition_against_search(g)
 
 
 def test_join_condition_against_partition_search_seven_vertices():
-    # exhausting all 2^21 graphs on 7 vertices is out of budget; sample instead
+    # exhausting all 2^21 graphs on 7 vertices is out of budget; sample instead,
+    # with dense graphs so that pairs-joins occur, in shuffled declaration order
     import random
 
     rng = random.Random(7)
     for _ in range(3000):
-        g = random_graph(rng, 7)
-        assert matches_complete_join_pairs(g) == (join_pairs_partition(g) is not None)
+        g = random_graph(rng, 7, p=rng.choice((0.5, 0.8, 0.95)))
+        order = list(g.vertices)
+        rng.shuffle(order)
+        _check_partition_against_search(SimplicialGraph(tuple(order), g.edges))
 
 
 def test_join_pairs_partition_blocks():

@@ -7,8 +7,6 @@ from gpkit import cyclic, graph, table_group, z2
 from gpkit.groups import automorphisms, identity_perm
 from gpkit.labeled import LabeledGraph
 from gpkit.tree import (
-    GENERATES_ALL,
-    NOT_WITHIN_RADIUS,
     FreeProduct,
     IdentityGenerator,
     NotGenerating,
@@ -19,17 +17,24 @@ from gpkit.tree import (
     ball_elements,
     base,
     free_product,
-    generation_probe,
     malnormality_check,
     translation_data,
-    tree_ball,
     tree_distance,
     vertex_of,
     wpd_certificate,
 )
 from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, word_of
 
-from .helpers import bfs_distances, fp_of, s3_table, tree_neighbors
+from .helpers import (
+    GENERATES_ALL,
+    NOT_WITHIN_RADIUS,
+    bfs_distances,
+    fp_of,
+    generation_probe,
+    s3_table,
+    tree_ball,
+    tree_neighbors,
+)
 
 FP22 = fp_of(z2(), z2())
 FP23 = fp_of(z2(), cyclic(3))
