@@ -15,6 +15,7 @@ factor, and `1` the identity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -420,7 +421,10 @@ def run(request: CommandRequest) -> tuple[int, str]:
         return 1, f"{type(exc).__name__}: {exc}"
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves no
+    state on it, since absent options stay out of the namespace."""
     p = argparse.ArgumentParser(
         prog="gpkit",
         description="decision procedures and tree certificates for graph products",

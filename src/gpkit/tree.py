@@ -1,17 +1,31 @@
 """The tree of a free product of two vertex groups, and certificates for the
 action on it.
 
-Vertices of the tree are the left cosets of the two factors.  A coset g*A is
-stored by the canonical representative obtained by stripping a trailing
-A-syllable from the normal form of g, so coset equality is word equality.
-Distances come from the alternating length of the relative representative;
-an independent breadth-first search cross-checks this in the test suite.
+Vertices of the tree are the left cosets of the two factors (Serre, Trees,
+1980).  A coset g*A is stored by the canonical representative obtained by
+stripping a trailing A-syllable from the normal form of g, so coset equality is
+word equality.  Distances come from the alternating length of the relative
+representative; an independent breadth-first search cross-checks this in the
+test suite.
+
+Every element of A*B has exactly one alternating word with no identity letter
+(the normal form theorem for free products: Lyndon-Schupp, Combinatorial Group
+Theory, 1977, Thm IV.1.2).  So this module computes on alternating tuples of
+(side index, element) ints, not through the general normal form: the product
+u*v is the seam product, which joins u and v and only looks where they meet.
+While the last letter of u and the first of v lie on one side they multiply;
+an identity product cancels both and the walk goes on, anything else merges
+into one letter and ends it.  NormalWords are converted at the API edge.  The
+malnormality scan walks the ball depth first and tests each conjugate on
+indices, so its memory grows with the radius and not with the ball; its work
+is bounded by MAX_SCAN_WORK.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import SimplicialGraph
 from .groups import (
@@ -33,9 +47,6 @@ from .words import (
     SameVertex,
     Syllable,
     VerticesAdjacent,
-    invert,
-    multiply,
-    normal_form,
 )
 
 
@@ -49,6 +60,20 @@ class NotGenerating(GpkitError):
 
 class IdentityGenerator(GpkitError):
     """Generator lists must consist of non-identity elements."""
+
+
+MAX_SCAN_WORK = 5_000_000
+"""Most conjugates one malnormality scan may test: (ball size) * (|A| + |B| - 2)."""
+
+
+class ScanTooLarge(GpkitError):
+    """A malnormality scan whose estimated work is past MAX_SCAN_WORK."""
+
+    def __init__(self, radius, work, exact, fits):
+        need = f"{work:,}" if exact else f"more than {work:,}"
+        within = f"the largest radius within it is {fits}" if fits >= 0 else "no radius fits"
+        super().__init__(f"malnormality scan at radius {radius} needs {need} conjugates, "
+                         f"over the bound of {MAX_SCAN_WORK:,}; {within}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +98,13 @@ class FreeProduct:
 
     def factor_table(self, side: str):
         return concrete_table(self.ctx.label(side))
+
+    @cached_property
+    def _arith(self):
+        """Products and inverses of the two factors by side index, from the
+        word engine: (mul, inv), each a pair of functions."""
+        factors = self.ctx.word_tables.factors
+        return tuple(f.mul for f in factors), tuple(f.inv for f in factors)
 
 
 def free_product(ctx: LabeledGraph, u: str, v: str) -> FreeProduct:
@@ -142,31 +174,86 @@ def base(fp: FreeProduct, side: str) -> TreeVertex:
     return TreeVertex(side, IDENTITY)
 
 
+# ---------------------------------------------------------------------------
+# Alternating words: tuples of (side index, element) pairs, no identity letters
+
+def _seam_product(fp: FreeProduct, u: tuple, v: tuple) -> tuple:
+    """u * v: letters meeting at the seam on one side multiply; an identity
+    product cancels both and the walk goes on, any other merges and ends it."""
+    mul = fp._arith[0]
+    i, j = len(u), 0
+    while i and j < len(v) and u[i - 1][0] == v[j][0]:
+        s = v[j][0]
+        e = mul[s](u[i - 1][1], v[j][1])
+        i -= 1
+        j += 1
+        if e:
+            return u[:i] + ((s, e),) + v[j:]
+    return u[:i] + v[j:]
+
+
+def _inverse(fp: FreeProduct, u: tuple) -> tuple:
+    inv = fp._arith[1]
+    return tuple((s, inv[s](e)) for s, e in reversed(u))
+
+
+def _letters(fp: FreeProduct, w: NormalWord) -> tuple:
+    """w as an alternating word; any syllable sequence over the two sides is
+    multiplied out, and a syllable off them is a BadSyllable."""
+    index = fp.ctx.graph._order
+    factors = fp.ctx.word_tables.factors
+    out = []
+    for syl in w.syllables:
+        s = index.get(syl.vertex)
+        if s is None:
+            raise BadSyllable(syl.vertex, syl.element, "unknown vertex")
+        e = syl.element
+        if not factors[s].valid(e):
+            raise BadSyllable(syl.vertex, e, "element outside the vertex group")
+        if out and out[-1][0] == s:
+            e = factors[s].mul(out.pop()[1], e)
+        if e:
+            out.append((s, e))
+    return tuple(out)
+
+
+def _word(fp: FreeProduct, u: tuple) -> NormalWord:
+    names = fp.sides
+    return NormalWord(tuple(Syllable(names[s], e) for s, e in u))
+
+
+def _strip(fp: FreeProduct, u: tuple, side: str) -> tuple:
+    """Representative of the coset u * (side factor): u less a trailing side letter."""
+    return u[:-1] if u and fp.sides[u[-1][0]] == side else u
+
+
+def _vertex(fp: FreeProduct, u: tuple, side: str) -> TreeVertex:
+    return TreeVertex(side, _word(fp, _strip(fp, u, side)))
+
+
 def vertex_of(fp: FreeProduct, g: NormalWord, side: str) -> TreeVertex:
     """Canonical vertex of the coset g * (side factor)."""
-    w = normal_form(g.syllables, fp.ctx)
-    if w.syllables and w.syllables[-1].vertex == side:
-        w = NormalWord(w.syllables[:-1])
-    return TreeVertex(side, w)
+    return _vertex(fp, _letters(fp, g), side)
 
 
 def act(fp: FreeProduct, g: NormalWord, x: TreeVertex) -> TreeVertex:
     """Left translation of the coset x by g."""
-    return vertex_of(fp, multiply(g, x.rep, fp.ctx), x.side)
+    return _vertex(fp, _seam_product(fp, _letters(fp, g), _letters(fp, x.rep)), x.side)
 
 
 def act_auto(fp: FreeProduct, alpha, beta, x: TreeVertex) -> TreeVertex:
     """Image of x under the automorphism extending (alpha, beta) letterwise.
 
     alpha and beta are permutations of the element indices of the first and
-    second factor, as produced by groups.automorphisms.
+    second factor, as produced by groups.automorphisms.  They fix only the
+    identity, so the image of the alternating representative alternates too
+    and is the representative of the image.
     """
-    side_a, side_b = fp.sides
-    mapped = [
+    side_a = fp.sides[0]
+    return TreeVertex(x.side, NormalWord(tuple(
         Syllable(s.vertex, alpha[s.element] if s.vertex == side_a else beta[s.element])
         for s in x.rep.syllables
-    ]
-    return vertex_of(fp, normal_form(mapped, fp.ctx), x.side)
+    )))
 
 
 def tree_distance(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> int:
@@ -176,26 +263,25 @@ def tree_distance(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> int:
     the distance is then the alternating length of the relative representative,
     plus one when its first syllable already lies on the far side of the base.
     """
-    rel = multiply(invert(x.rep, fp.ctx), y.rep, fp.ctx)
-    target = vertex_of(fp, rel, y.side)
-    k = len(target.rep)
-    if k == 0:
+    rel = _seam_product(fp, _inverse(fp, _letters(fp, x.rep)), _letters(fp, y.rep))
+    rel = _strip(fp, rel, y.side)
+    if not rel:
         return 0 if x.side == y.side else 1
-    return k + (0 if target.rep.syllables[0].vertex == x.side else 1)
+    return len(rel) + (0 if fp.sides[rel[0][0]] == x.side else 1)
 
 
 def adjacent(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> bool:
     return tree_distance(fp, x, y) == 1
 
 
-def _cyclic_reduce(fp: FreeProduct, g: NormalWord):
+def _cyclic_reduce(fp: FreeProduct, g: tuple):
     """Return (p, c) with g = p c p^-1 and c cyclically reduced."""
-    p = IDENTITY
+    p = ()
     c = g
-    while len(c) >= 2 and c.syllables[0].vertex == c.syllables[-1].vertex:
-        head = NormalWord((c.syllables[0],))
-        p = multiply(p, head, fp.ctx)
-        c = multiply(multiply(invert(head, fp.ctx), c, fp.ctx), head, fp.ctx)
+    while len(c) >= 2 and c[0][0] == c[-1][0]:
+        head = c[:1]
+        p = _seam_product(fp, p, head)
+        c = _seam_product(fp, _seam_product(fp, _inverse(fp, head), c), head)
     return p, c
 
 
@@ -206,23 +292,54 @@ def translation_data(fp: FreeProduct, g: NormalWord) -> AxisData:
     the path through its prefix cosets; conjugating carries that segment to
     the axis of g.  Elements conjugate into a factor fix a vertex.
     """
-    g = normal_form(g.syllables, fp.ctx)
+    g = _letters(fp, g)
     p, c = _cyclic_reduce(fp, g)
     if len(c) <= 1:
-        side = c.syllables[0].vertex if c.syllables else fp.sides[0]
-        return AxisData(g, 0, (vertex_of(fp, p, side),))
-    sylls = c.syllables
+        side = fp.sides[c[0][0]] if c else fp.sides[0]
+        return AxisData(_word(fp, g), 0, (_vertex(fp, p, side),))
     segment = []
     prefix = p
-    for s in sylls:
-        segment.append(vertex_of(fp, prefix, s.vertex))
-        prefix = multiply(prefix, NormalWord((s,)), fp.ctx)
-    segment.append(vertex_of(fp, prefix, sylls[0].vertex))
-    return AxisData(g, len(sylls), tuple(segment))
+    for letter in c:
+        segment.append(_vertex(fp, prefix, fp.sides[letter[0]]))
+        prefix = _seam_product(fp, prefix, (letter,))
+    segment.append(_vertex(fp, prefix, fp.sides[c[0][0]]))
+    return AxisData(_word(fp, g), len(c), tuple(segment))
 
 
-def _is_factor_element(fp: FreeProduct, w: NormalWord, side: str) -> bool:
-    return len(w) == 1 and w.syllables[0].vertex == side
+# ---------------------------------------------------------------------------
+# Balls and the malnormality scan
+
+def _orders(fp: FreeProduct) -> tuple[int, int]:
+    """Orders of the two factors; GpkitError unless both are finite."""
+    return tuple(order_of(d) or concrete_table(d).order for d in fp.ctx.labels)
+
+
+def _ball(orders, radius: int):
+    """Every alternating word of syllable length <= radius, depth first.
+
+    Yields one list of (side index, element) letters, changed in place between
+    yields, so memory grows with the radius and not with the ball.
+    """
+    letters = [[(s, e) for e in range(orders[s])] for s in (0, 1)]
+    word = []
+    yield word
+    if radius < 1:
+        return
+    word.append(letters[0][1])
+    while word:
+        yield word
+        if len(word) < radius:
+            word.append(letters[1 - word[-1][0]][1])
+            continue
+        while word:
+            s, e = word[-1]
+            if e + 1 < orders[s]:
+                word[-1] = letters[s][e + 1]
+                break
+            if s == 0 and len(word) == 1:
+                word[-1] = letters[1][1]
+                break
+            word.pop()
 
 
 def ball_elements(fp: FreeProduct, radius: int):
@@ -231,20 +348,65 @@ def ball_elements(fp: FreeProduct, radius: int):
     Alternating words over the two factors are already in normal form, so they
     are generated directly.
     """
-    nontrivial = {side: range(1, fp.factor_table(side).order) for side in fp.sides}
-    out = [IDENTITY]
-    level = [()]
-    for _ in range(radius):
-        nxt = []
-        for word in level:
-            for v in fp.sides:
-                if word and word[-1].vertex == v:
-                    continue
-                for e in nontrivial[v]:
-                    nxt.append(word + (Syllable(v, e),))
-        out.extend(NormalWord(w) for w in nxt)
-        level = nxt
-    return out
+    orders = _orders(fp)
+    sylls = [[Syllable(fp.sides[s], e) for e in range(n)] for s, n in enumerate(orders)]
+    return [NormalWord(tuple(sylls[s][e] for s, e in w)) for w in _ball(orders, radius)]
+
+
+def _scan_work(orders, radius: int) -> tuple[int, int, bool]:
+    """(conjugates a scan to `radius` tests, largest radius whose scan fits
+    MAX_SCAN_WORK, whether the count is exact).
+
+    A scan tests |A| + |B| - 2 conjugates per element of the ball.  The count
+    stops 64 levels past the largest radius that fits and is then a lower
+    bound, so an absurd radius costs nothing to estimate.
+    """
+    p, q = orders[0] - 1, orders[1] - 1
+    size, ends = 1, (p, q)  # ball size at radius r; words of length r + 1 by last side
+    fits = -1
+    for r in range(radius + 1):
+        if size * (p + q) <= MAX_SCAN_WORK:
+            fits = r
+        elif r > fits + 64:
+            return size * (p + q), fits, False
+        if r < radius:
+            size += ends[0] + ends[1]
+            ends = (p * ends[1], q * ends[0])
+    return size * (p + q), fits, True
+
+
+def _lands_on(word, t: int, a: int, side: int, mul, inv) -> bool:
+    """Whether word * (t, a) * word^-1 is one letter on `side`.
+
+    Both seam products are walked on indices and nothing is allocated: the
+    left factor is word[:i] followed by the letter (ms, me) when ms >= 0, and
+    the right factor is word^-1 from the inverse of word[j] on.
+    """
+    i = len(word)
+    j = i - 1
+    ms, me = t, a
+    if i and word[j][0] == t:  # word * (t, a)
+        i -= 1
+        me = mul[t](word[i][1], a)
+        if not me:
+            ms = -1
+    while j >= 0:  # (word[:i] (ms, me)) * word^-1
+        s, e = word[j]
+        if ms < 0:
+            if not i or word[i - 1][0] != s:
+                break
+            i -= 1
+            ms, me = word[i]
+        elif ms != s:
+            break
+        me = mul[s](me, inv[s](e))
+        j -= 1
+        if me:
+            break
+        ms = -1
+    if i + (ms >= 0) + j + 1 != 1:
+        return False
+    return (ms if ms >= 0 else word[0][0]) == side
 
 
 def malnormality_check(fp: FreeProduct, side: str, radius: int) -> bool:
@@ -252,24 +414,21 @@ def malnormality_check(fp: FreeProduct, side: str, radius: int) -> bool:
 
     Scans every g of syllable length <= radius: conjugates of the chosen factor
     by g outside it, and conjugates of the other factor by every g, must not
-    hit a non-trivial element of the chosen factor.
+    hit a non-trivial element of the chosen factor.  Raises ScanTooLarge, before
+    scanning, when that is more than MAX_SCAN_WORK conjugates.
     """
-    other = fp.other(side)
-    ta = fp.factor_table(side)
-    tb = fp.factor_table(other)
-    own = [NormalWord((Syllable(side, e),)) for e in range(1, ta.order)]
-    foreign = [NormalWord((Syllable(other, e),)) for e in range(1, tb.order)]
-    for g in ball_elements(fp, radius):
-        g_inv = invert(g, fp.ctx)
-        in_own_factor = g.is_identity or _is_factor_element(fp, g, side)
-        if not in_own_factor:
-            for a in own:
-                conj = multiply(multiply(g, a, fp.ctx), g_inv, fp.ctx)
-                if _is_factor_element(fp, conj, side):
-                    return False
-        for b in foreign:
-            conj = multiply(multiply(g, b, fp.ctx), g_inv, fp.ctx)
-            if _is_factor_element(fp, conj, side):
+    own = fp.sides.index(side)
+    orders = _orders(fp)
+    work, fits, exact = _scan_work(orders, radius)
+    if work > MAX_SCAN_WORK:
+        raise ScanTooLarge(radius, work, exact, fits)
+    mul, inv = fp._arith
+    foreign = [(1 - own, e) for e in range(1, orders[1 - own])]
+    every = [(own, e) for e in range(1, orders[own])] + foreign
+    for word in _ball(orders, radius):
+        in_own_factor = not word or (len(word) == 1 and word[0][0] == own)
+        for t, a in foreign if in_own_factor else every:
+            if _lands_on(word, t, a, own, mul, inv):
                 return False
     return True
 
@@ -307,7 +466,7 @@ def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate
     for s, r in zip(gens_a, gens_b):
         sylls.append(Syllable(side_a, s))
         sylls.append(Syllable(side_b, r))
-    g = normal_form(sylls, fp.ctx)
+    g = NormalWord(tuple(sylls))  # alternating, identity-free: already normal
 
     axis = translation_data(fp, g)
     four = (

@@ -19,7 +19,8 @@ elements have equal canonical words.  normal_form finds it in one pass:
 
 L syllables over n vertices cost O(L*n + L log L).  Vertex groups must be
 finite tables, finite cyclic groups (mod-n arithmetic) or the infinite cyclic
-group (elements are then non-zero exponents); opaque ones are rejected.
+group (elements are then non-zero exponents); a syllable on an opaque one is
+rejected.
 """
 
 from __future__ import annotations
@@ -107,6 +108,16 @@ class _IntFactor(_Factor):
         return -a
 
 
+class _OpaqueFactor(_Factor):
+    """A group known only by flags: any syllable on it is an error, so an
+    opaque vertex blocks only the words that touch it."""
+
+    def valid(self, *args):
+        raise GpkitError("opaque vertex groups are not computable; the word engine rejects them")
+
+    mul = inv = valid
+
+
 def _build_factor(desc: GroupDescriptor) -> _Factor:
     if desc.kind == "Z":
         return _IntFactor(None)
@@ -114,7 +125,7 @@ def _build_factor(desc: GroupDescriptor) -> _Factor:
         return _CyclicFactor(order_of(desc))
     if desc.kind == "table":
         return _TableFactor(desc.table)
-    raise GpkitError("opaque vertex groups are not computable; the word engine rejects them")
+    return _OpaqueFactor(None)
 
 
 class WordTables:

@@ -18,15 +18,8 @@ from gpkit import graph, validate
 from gpkit.graphs import SimplicialGraph, find_sil, matches_complete_join_pairs
 from gpkit.groups import GroupDescriptor, concrete_table, order_of
 from gpkit.labeled import LabeledGraph
-from gpkit.tree import (
-    FreeProduct,
-    TreeVertex,
-    ball_elements,
-    base,
-    tree_distance,
-    vertex_of,
-)
-from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply
+from gpkit.tree import FreeProduct, TreeVertex, ball_elements, base
+from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +302,70 @@ def _canonical(word, order, adj):
 
 
 # ---------------------------------------------------------------------------
-# Tree BFS oracle
+# Reference tree functions: the general normal-form route that gpkit.tree's
+# seam products replace.  The tree functions must agree with them.
+
+def reference_vertex_of(fp: FreeProduct, g: NormalWord, side: str) -> TreeVertex:
+    """Canonical vertex of the coset g * (side factor)."""
+    w = normal_form(g.syllables, fp.ctx)
+    if w.syllables and w.syllables[-1].vertex == side:
+        w = NormalWord(w.syllables[:-1])
+    return TreeVertex(side, w)
+
+
+def reference_act(fp: FreeProduct, g: NormalWord, x: TreeVertex) -> TreeVertex:
+    """Left translation of the coset x by g."""
+    return reference_vertex_of(fp, multiply(g, x.rep, fp.ctx), x.side)
+
+
+def reference_act_auto(fp: FreeProduct, alpha, beta, x: TreeVertex) -> TreeVertex:
+    """Image of x under the automorphism extending (alpha, beta) letterwise."""
+    side_a, side_b = fp.sides
+    mapped = [
+        Syllable(s.vertex, alpha[s.element] if s.vertex == side_a else beta[s.element])
+        for s in x.rep.syllables
+    ]
+    return reference_vertex_of(fp, normal_form(mapped, fp.ctx), x.side)
+
+
+def reference_tree_distance(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> int:
+    """Graph distance between two cosets, from the relative representative."""
+    rel = multiply(invert(x.rep, fp.ctx), y.rep, fp.ctx)
+    target = reference_vertex_of(fp, rel, y.side)
+    k = len(target.rep)
+    if k == 0:
+        return 0 if x.side == y.side else 1
+    return k + (0 if target.rep.syllables[0].vertex == x.side else 1)
+
+
+def _is_factor_element(fp: FreeProduct, w: NormalWord, side: str) -> bool:
+    return len(w) == 1 and w.syllables[0].vertex == side
+
+
+def reference_malnormality_check(fp: FreeProduct, side: str, radius: int) -> bool:
+    """The malnormality scan with every conjugate multiplied out by the word engine."""
+    other = fp.other(side)
+    ta = fp.factor_table(side)
+    tb = fp.factor_table(other)
+    own = [NormalWord((Syllable(side, e),)) for e in range(1, ta.order)]
+    foreign = [NormalWord((Syllable(other, e),)) for e in range(1, tb.order)]
+    for g in ball_elements(fp, radius):
+        g_inv = invert(g, fp.ctx)
+        in_own_factor = g.is_identity or _is_factor_element(fp, g, side)
+        if not in_own_factor:
+            for a in own:
+                conj = multiply(multiply(g, a, fp.ctx), g_inv, fp.ctx)
+                if _is_factor_element(fp, conj, side):
+                    return False
+        for b in foreign:
+            conj = multiply(multiply(g, b, fp.ctx), g_inv, fp.ctx)
+            if _is_factor_element(fp, conj, side):
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Tree BFS oracle, on the word engine alone
 
 def tree_neighbors(fp: FreeProduct, x: TreeVertex):
     """Neighbor cosets by definition: one per element of the side factor."""
@@ -317,11 +373,10 @@ def tree_neighbors(fp: FreeProduct, x: TreeVertex):
     other = fp.other(x.side)
     out = set()
     for e in range(table.order):
-        if e == 0:
-            w = x.rep
-        else:
-            w = multiply(x.rep, NormalWord((Syllable(x.side, e),)), fp.ctx)
-        out.add(vertex_of(fp, w, other))
+        w = multiply(x.rep, NormalWord((Syllable(x.side, e),)), fp.ctx)
+        if w.syllables and w.syllables[-1].vertex == other:
+            w = NormalWord(w.syllables[:-1])
+        out.add(TreeVertex(other, w))
     return out
 
 
@@ -356,7 +411,7 @@ def tree_ball(fp: FreeProduct, radius: int, center: TreeVertex | None = None):
             if w.syllables and w.syllables[-1].vertex == side:
                 continue
             x = TreeVertex(side, w)
-            if tree_distance(fp, center, x) <= radius:
+            if reference_tree_distance(fp, center, x) <= radius:
                 out.append(x)
     out.sort(key=lambda x: x.sort_key(fp))
     return out

@@ -6,6 +6,7 @@ import pytest
 import gpkit.classify as cls
 import gpkit.cli as cli
 import gpkit.groups as groups
+import gpkit.tree as tree
 from gpkit import cyclic, graph, uniform, z2
 from gpkit.cli import (
     CommandRequest,
@@ -265,7 +266,7 @@ def test_bad_tree_flags_are_usage_errors(flags, capsys):
     (["tree", "p3.graph", "-u", "a", "-v", "a", "--wpd"], "SameVertex"),
     (["tree", "p3.graph", "-u", "a", "-v", "zz", "--wpd"], "BadSyllable"),
     (["tree", "p3.graph", "-u", "a", "-v", "b", "--wpd"], "VerticesAdjacent"),
-    (["word", "mixed.graph", "--compute", "a[1]"], "GpkitError"),
+    (["word", "mixed.graph", "--compute", "c[1]"], "GpkitError"),
     (["tree", "mixed.graph", "-u", "a", "-v", "c", "--wpd"], "GpkitError"),
     (["tree", "fp23.graph", "-u", "a", "-v", "b", "--wpd", "--gens-a", "9"], "BadSyllable"),
     (["classify", "c4.graph", "--property", "foo"], "GpkitError"),
@@ -298,3 +299,41 @@ def test_wpd_rejects_large_factor_before_building_tables(tmp_path, monkeypatch, 
     assert main(["tree", str(path), "-u", "a", "-v", "b", "--wpd"]) == 1
     err = capsys.readouterr().err
     assert err == "OrderTooLarge: table order 40000 exceeds bound 12\n"
+
+
+def test_main_twice_in_one_process(capsys):
+    """The parser is built once; no option carries over to the next call."""
+    argv = ["tree", str(FIXTURES / "fp23.graph"), "-u", "a", "-v", "b", "--wpd"]
+    assert main([*argv, "--radius", "2"]) == 0
+    assert capsys.readouterr().out.endswith("malnormal within radius 2: True\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--radius", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("malnormal within radius 6: True\n")
+
+
+def test_scan_past_the_work_bound_fails_before_scanning(tmp_path, monkeypatch, capsys):
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(tree, "_ball", no_scan)
+    path = tmp_path / "z12.graph"
+    path.write_text("vertex a Z/12\nvertex b Z/12\n")
+    assert main(["tree", str(path), "-u", "a", "-v", "b", "--wpd"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ScanTooLarge: malnormality scan at radius 6 needs ")
+    assert err.endswith(f"bound of {tree.MAX_SCAN_WORK:,}; the largest radius within it is 4\n")
+
+
+def test_opaque_vertex_blocks_only_words_that_touch_it(tmp_path, capsys):
+    assert main(["word", str(FIXTURES / "mixed.graph"), "--compute", "a[1]*b^2"]) == 0
+    assert capsys.readouterr().out == "a[1]*b^2\n"
+    path = tmp_path / "off.graph"
+    path.write_text("vertex a Z2\nvertex b Z/3\nvertex c opaque{T=yes}\nedge a c\n")
+    assert main(["tree", str(path), "-u", "a", "-v", "b", "--axis", "a[1]*b[1]"]) == 0
+    assert capsys.readouterr().out == (
+        "element: a[1]*b[1]\ntranslation length: 2\nsegment: (1 | a) (a[1] | b) (a[1]*b[1] | a)\n")
