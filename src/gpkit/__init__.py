@@ -4,7 +4,6 @@ from .graphs import (
     JoinDecomposition,
     SilWitness,
     SimplicialGraph,
-    complement,
     find_sil,
     graph,
     is_complete,
@@ -49,10 +48,10 @@ __all__ = [
     "BadSyllable", "GpkitError", "GroupDescriptor", "IDENTITY", "JoinDecomposition",
     "LabeledGraph", "MultTable", "NormalWord", "NotAGroup", "QuotientFlags",
     "SilWitness", "SimplicialGraph", "Syllable", "automorphisms", "center",
-    "central_quotient", "commutes_with_all_generators", "complement", "cyclic",
-    "cyclic_table", "find_sil", "graph", "infinite_cyclic", "invert",
-    "is_complete", "is_molecular", "join_decompose", "join_pairs_partition",
-    "labeled", "matches_complete_join_pairs", "multiply", "normal_form",
-    "opaque", "quotient_flags", "retract", "table_group", "uniform",
-    "validate", "word_of", "z2",
+    "central_quotient", "commutes_with_all_generators", "cyclic", "cyclic_table",
+    "find_sil", "graph", "infinite_cyclic", "invert", "is_complete",
+    "is_molecular", "join_decompose", "join_pairs_partition", "labeled",
+    "matches_complete_join_pairs", "multiply", "normal_form", "opaque",
+    "quotient_flags", "retract", "table_group", "uniform", "validate",
+    "word_of", "z2",
 ]

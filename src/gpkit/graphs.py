@@ -6,7 +6,6 @@ package (canonical words, witness selection, report output).
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -49,6 +48,18 @@ class SimplicialGraph:
     @cached_property
     def _order(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """Adjacency as int bitmasks: bit j of _masks[i] is set when the
+        vertices with declaration indices i and j are adjacent."""
+        order = self._order
+        masks = [0] * len(self.vertices)
+        for u, w in self.edges:
+            i, j = order[u], order[w]
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
 
     def index(self, v: str) -> int:
         return self._order[v]
@@ -93,20 +104,6 @@ class SilWitness:
     component: frozenset[str]
 
 
-def complement(g: SimplicialGraph) -> SimplicialGraph:
-    """Same vertices, an edge exactly where g has none.
-
-    >>> complement(graph("abc", ["ab", "bc", "ac"])).edges
-    frozenset()
-    """
-    es = frozenset(
-        frozenset((u, v))
-        for u, v in itertools.combinations(g.vertices, 2)
-        if not g.has_edge(u, v)
-    )
-    return SimplicialGraph(g.vertices, es)
-
-
 def induced(g: SimplicialGraph, keep) -> SimplicialGraph:
     """Induced subgraph on the given vertices, preserving declaration order."""
     kept = set(keep)
@@ -116,8 +113,7 @@ def induced(g: SimplicialGraph, keep) -> SimplicialGraph:
 
 
 def is_complete(g: SimplicialGraph) -> bool:
-    n = len(g.vertices)
-    return all(g.degree(v) == n - 1 for v in g.vertices)
+    return len(g.edges) == len(g.vertices) * (len(g.vertices) - 1) // 2
 
 
 def join_decompose(g: SimplicialGraph) -> JoinDecomposition:
@@ -176,45 +172,37 @@ def join_pairs_partition(g: SimplicialGraph):
     return tuple(blocks)
 
 
-def distance(g: SimplicialGraph, u: str, v: str) -> float:
-    """Graph distance; math.inf when u and v lie in different components."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    q = deque([u])
-    while q:
-        x = q.popleft()
-        for y in g.link(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                if y == v:
-                    return dist[y]
-                q.append(y)
-    return math.inf
+def _flood(masks, seed: int, allowed: int) -> int:
+    """Bitmask of the vertices joined to the vertex set `seed` by paths inside
+    `allowed` (seed a subset of allowed): the union of their components there."""
+    comp = frontier = seed
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & allowed & ~comp
+        comp |= frontier
+    return comp
+
+
+def _names(g: SimplicialGraph, mask: int) -> frozenset[str]:
+    return frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+
+
+def _components(masks):
+    """Bitmasks of the components, by smallest vertex index."""
+    rest = (1 << len(masks)) - 1
+    while rest:
+        comp = _flood(masks, rest & -rest, rest)
+        rest &= ~comp
+        yield comp
 
 
 def connected_components(g: SimplicialGraph) -> list[frozenset[str]]:
     """Components, ordered by their smallest vertex index."""
-    seen: set[str] = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        q = deque([v])
-        while q:
-            x = q.popleft()
-            for y in g.link(x):
-                if y not in comp:
-                    comp.add(y)
-                    q.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def is_connected(g: SimplicialGraph) -> bool:
-    return len(connected_components(g)) <= 1
+    return [_names(g, comp) for comp in _components(g._masks)]
 
 
 def girth(g: SimplicialGraph) -> float:
@@ -252,30 +240,36 @@ def find_sil(g: SimplicialGraph):
     >>> find_sil(graph("abc", ["ab", "bc"])) is None
     True
     """
-    for u, v in itertools.combinations(g.vertices, 2):
-        if g.has_edge(u, v):
-            continue
-        cut = g.link(u) & g.link(v)
-        rest = induced(g, [w for w in g.vertices if w not in cut])
-        comps = sorted(
-            connected_components(rest),
-            key=lambda c: min(g.index(w) for w in c),
-        )
-        for comp in comps:
-            if u not in comp and v not in comp:
-                return SilWitness(u, v, comp)
+    masks = g._masks
+    every = (1 << len(masks)) - 1
+    # with no common neighbour, the pair splits the graph as its components do
+    whole = {i: c for c in _components(masks) for i in range(len(masks)) if c >> i & 1}
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if mi >> j & 1:
+                continue
+            cut = mi & masks[j]
+            rest = every & ~cut
+            side = _flood(masks, 1 << i | 1 << j, rest) if cut else whole[i] | whole[j]
+            other = rest & ~side
+            if other:
+                comp = _flood(masks, other & -other, rest)
+                return SilWitness(g.vertices[i], g.vertices[j], _names(g, comp))
     return None
 
 
 def is_molecular(g: SimplicialGraph) -> bool:
-    """Connected, no vertex of degree <= 1, and girth >= 5."""
-    if not g.vertices:
+    """Non-empty, connected, min degree >= 2 and girth >= 5: no adjacent pair with a
+    common neighbour (a triangle) and no pair with two (a 4-cycle), as in Itai-Rodeh."""
+    masks = g._masks
+    if len(list(_components(masks))) != 1 or any(m.bit_count() <= 1 for m in masks):
         return False
-    if not is_connected(g):
-        return False
-    if any(g.degree(v) <= 1 for v in g.vertices):
-        return False
-    return girth(g) >= 5
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            common = mi & masks[j]
+            if common and (common & (common - 1) or mi >> j & 1):
+                return False
+    return True
 
 
 def complement_degrees(g: SimplicialGraph) -> dict[str, int]:

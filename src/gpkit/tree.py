@@ -359,20 +359,27 @@ def _scan_work(orders, radius: int) -> tuple[int, int, bool]:
 
     A scan tests |A| + |B| - 2 conjugates per element of the ball.  The count
     stops 64 levels past the largest radius that fits and is then a lower
-    bound, so an absurd radius costs nothing to estimate.
+    bound, so an absurd radius costs nothing to estimate.  Once the ball grows
+    by a fixed step per level (Z2 * Z2, or a trivial factor) the rest is
+    counted in closed form.
     """
-    p, q = orders[0] - 1, orders[1] - 1
+    p, q, k = orders[0] - 1, orders[1] - 1, sum(orders) - 2
     size, ends = 1, (p, q)  # ball size at radius r; words of length r + 1 by last side
     fits = -1
     for r in range(radius + 1):
-        if size * (p + q) <= MAX_SCAN_WORK:
+        step = ends[0] + ends[1]
+        if ends == (p * ends[1], q * ends[0]):
+            if size * k <= MAX_SCAN_WORK:
+                fits = min(radius, r + (MAX_SCAN_WORK // k - size) // step) if step * k else radius
+            last = min(radius, fits + 65)
+            return (size + step * (last - r)) * k, fits, radius <= fits + 64
+        if size * k <= MAX_SCAN_WORK:
             fits = r
         elif r > fits + 64:
-            return size * (p + q), fits, False
+            return size * k, fits, False
         if r < radius:
-            size += ends[0] + ends[1]
-            ends = (p * ends[1], q * ends[0])
-    return size * (p + q), fits, True
+            size, ends = size + step, (p * ends[1], q * ends[0])
+    return size * k, fits, True
 
 
 def _lands_on(word, t: int, a: int, side: int, mul, inv) -> bool:

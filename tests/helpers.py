@@ -12,10 +12,19 @@ meet.
 from __future__ import annotations
 
 import itertools
+import math
 import string
+from collections import deque
 
 from gpkit import graph, validate
-from gpkit.graphs import SimplicialGraph, find_sil, matches_complete_join_pairs
+from gpkit.graphs import (
+    SilWitness,
+    SimplicialGraph,
+    find_sil,
+    girth,
+    induced,
+    matches_complete_join_pairs,
+)
 from gpkit.groups import GroupDescriptor, concrete_table, order_of
 from gpkit.labeled import LabeledGraph
 from gpkit.tree import FreeProduct, TreeVertex, ball_elements, base
@@ -338,6 +347,22 @@ def reference_tree_distance(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> in
     return k + (0 if target.rep.syllables[0].vertex == x.side else 1)
 
 
+def reference_scan_work(orders, radius: int, bound: int) -> tuple[int, int, bool]:
+    """tree._scan_work counted level by level at every radius, against `bound`."""
+    p, q = orders[0] - 1, orders[1] - 1
+    size, ends = 1, (p, q)
+    fits = -1
+    for r in range(radius + 1):
+        if size * (p + q) <= bound:
+            fits = r
+        elif r > fits + 64:
+            return size * (p + q), fits, False
+        if r < radius:
+            size += ends[0] + ends[1]
+            ends = (p * ends[1], q * ends[0])
+    return size * (p + q), fits, True
+
+
 def _is_factor_element(fp: FreeProduct, w: NormalWord, side: str) -> bool:
     return len(w) == 1 and w.syllables[0].vertex == side
 
@@ -507,6 +532,91 @@ def sil_implies_vast(g: SimplicialGraph) -> bool:
     if witness is None:
         return True
     return not matches_complete_join_pairs(g)
+
+
+# ---------------------------------------------------------------------------
+# Graph references: the searches the bitmask graph layer replaced, and
+# graph operations only the tests use
+
+def complement(g: SimplicialGraph) -> SimplicialGraph:
+    """Same vertices, an edge exactly where g has none.
+
+    >>> complement(graph("abc", ["ab", "bc", "ac"])).edges
+    frozenset()
+    """
+    es = frozenset(
+        frozenset((u, v))
+        for u, v in itertools.combinations(g.vertices, 2)
+        if not g.has_edge(u, v)
+    )
+    return SimplicialGraph(g.vertices, es)
+
+
+def distance(g: SimplicialGraph, u: str, v: str) -> float:
+    """Graph distance; math.inf when u and v lie in different components."""
+    if u == v:
+        return 0
+    dist = {u: 0}
+    q = deque([u])
+    while q:
+        x = q.popleft()
+        for y in g.link(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                if y == v:
+                    return dist[y]
+                q.append(y)
+    return math.inf
+
+
+def reference_connected_components(g: SimplicialGraph) -> list[frozenset[str]]:
+    """Components, ordered by their smallest vertex index."""
+    seen: set[str] = set()
+    comps = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp = {v}
+        q = deque([v])
+        while q:
+            x = q.popleft()
+            for y in g.link(x):
+                if y not in comp:
+                    comp.add(y)
+                    q.append(y)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_find_sil(g: SimplicialGraph):
+    """First witness (by vertex order on the pair, then by smallest component
+    vertex) of two vertices at distance >= 2 whose common-link removal leaves a
+    component avoiding both, or None."""
+    for u, v in itertools.combinations(g.vertices, 2):
+        if g.has_edge(u, v):
+            continue
+        cut = g.link(u) & g.link(v)
+        rest = induced(g, [w for w in g.vertices if w not in cut])
+        comps = sorted(
+            reference_connected_components(rest),
+            key=lambda c: min(g.index(w) for w in c),
+        )
+        for comp in comps:
+            if u not in comp and v not in comp:
+                return SilWitness(u, v, comp)
+    return None
+
+
+def reference_is_molecular(g: SimplicialGraph) -> bool:
+    """Connected, no vertex of degree <= 1, and girth >= 5."""
+    if not g.vertices:
+        return False
+    if len(reference_connected_components(g)) > 1:
+        return False
+    if any(g.degree(v) <= 1 for v in g.vertices):
+        return False
+    return girth(g) >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ from hypothesis import given
 import gpkit.graphs
 from gpkit.graphs import (
     SimplicialGraph,
-    complement,
     complement_degrees,
     connected_components,
-    distance,
     find_sil,
     girth,
     graph,
@@ -23,7 +21,13 @@ from gpkit.graphs import (
 )
 
 from .conftest import graphs_st
-from .helpers import all_graphs, random_graph, reference_join_pairs_partition
+from .helpers import (
+    all_graphs,
+    complement,
+    distance,
+    random_graph,
+    reference_join_pairs_partition,
+)
 
 P3 = graph("abc", ["ab", "bc"])
 P4 = graph("abcd", ["ab", "bc", "cd"])

@@ -3,6 +3,7 @@ route it replaces (the reference_* functions in tests/helpers.py)."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -27,6 +28,7 @@ from .helpers import (
     reference_act,
     reference_act_auto,
     reference_malnormality_check,
+    reference_scan_work,
     reference_tree_distance,
     reference_vertex_of,
     s3_table,
@@ -180,6 +182,37 @@ def test_scan_too_large_names_radius_work_bound_and_largest_radius(monkeypatch):
         f"over the bound of {tree.MAX_SCAN_WORK:,}; the largest radius within it is 4")
     with pytest.raises(ScanTooLarge, match="needs more than .* within it is 1249999$"):
         malnormality_check(fp_of(z2(), z2()), "a", 10**12)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 7, 50, 1000])
+def test_scan_work_matches_the_level_by_level_count(monkeypatch, bound):
+    # orders 1 and 2 give the balls that stop growing or grow linearly
+    monkeypatch.setattr(tree, "MAX_SCAN_WORK", bound)
+    for orders in itertools.product(range(1, 6), repeat=2):
+        for radius in itertools.chain(range(80), (300, 2000)):
+            assert tree._scan_work(orders, radius) == reference_scan_work(orders, radius, bound)
+
+
+def test_z2_z2_refusal_is_counted_in_closed_form(monkeypatch):
+    """Z2 * Z2's ball has 2r + 1 elements, so its work passes the bound only
+    about 1.25 M levels out; the refusal must not walk them."""
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(tree, "_ball", no_scan)
+    fp = fp_of(z2(), z2())
+    fits = (tree.MAX_SCAN_WORK // 2 - 1) // 2
+    start = time.perf_counter()
+    with pytest.raises(ScanTooLarge) as exact:
+        malnormality_check(fp, "a", fits + 1)
+    with pytest.raises(ScanTooLarge) as beyond:
+        malnormality_check(fp, "b", 10**12)
+    assert time.perf_counter() - start < 0.05
+    assert str(exact.value) == (
+        f"malnormality scan at radius {fits + 1} needs {2 * (2 * fits + 3):,} conjugates, "
+        f"over the bound of {tree.MAX_SCAN_WORK:,}; the largest radius within it is {fits}")
+    assert str(beyond.value).endswith(f"the largest radius within it is {fits}")
+    assert tree._scan_work((2, 2), fits) == (2 * (2 * fits + 1), fits, True)
 
 
 def test_vertex_outside_the_two_sides_is_bad_syllable():
