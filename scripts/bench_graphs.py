@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Scaling record for the graph layer: `is_molecular`, `find_sil` and
-`classify` on growing all-Z2 graphs.
+"""Scaling record for the graph layer: graph construction, and
+`is_molecular`, `find_sil` and `classify` each on a graph built inside the
+timed call, on growing all-Z2 graphs.
 
     python3 scripts/bench_graphs.py SOURCE_ROOT --label parent
     python3 scripts/bench_graphs.py . --label change
@@ -13,10 +14,12 @@ on the parent and on the change gives the before/after record.
 Families: random graphs with round(p * n(n-1)/2) edges at p = 0.5 (seeded),
 and rings with one chord spanning four steps (girth 5, so `is_molecular`
 runs its whole girth test and there is no SIL).  n = 40, 80, 160, 320.  Each
-timing is the best of up to three calls on a freshly built graph, so lazily
-built adjacency is paid inside it.  Once a call takes longer than BUDGET_S,
-larger n of that function and family are recorded as null: before the bitmask
-graph layer, `find_sil` at n=320 would take minutes.
+row times `SimplicialGraph(names, edges)` from the same prepared names and
+edge set, alone ("build") or followed by one function, so adjacency is paid
+inside every row whether it is built by the constructor or lazily on first
+use.  Each timing is the best of up to five calls.  Once a call takes longer
+than BUDGET_S, larger n of that row and family are recorded as null: before
+the bitmask graph layer, `find_sil` at n=320 would take minutes.
 """
 
 from __future__ import annotations
@@ -51,14 +54,13 @@ def ring_family(n):
 FAMILIES = {f"random p={DENSITY}": random_family, f"ring+chord span {CHORD_SPAN}": ring_family}
 
 
-def best_time(call, build, repeats=3, spend=2.0):
-    """Best wall time of call(build()) over up to `repeats` runs, stopping
-    early once `spend` seconds have gone into the runs."""
+def best_time(call, repeats=5, spend=2.0):
+    """Best wall time of call() over up to `repeats` runs, stopping early
+    once `spend` seconds have gone into the runs."""
     best = spent = 0.0
     for k in range(repeats):
-        arg = build()
         start = time.perf_counter()
-        call(arg)
+        call()
         took = time.perf_counter() - start
         best = took if k == 0 else min(best, took)
         spent += took
@@ -71,15 +73,11 @@ def measure(gp):
     from gpkit.classify import classify
     from gpkit.graphs import SimplicialGraph, find_sil, is_molecular
 
-    def builder(n, edges):
-        names = tuple(f"v{i}" for i in range(n))
-        es = frozenset(frozenset((names[a], names[b])) for a, b in edges)
-        return lambda: SimplicialGraph(names, es)
-
     functions = {
-        "is_molecular": is_molecular,
-        "find_sil": find_sil,
-        "classify": lambda g: classify(gp.uniform(g, gp.z2())),
+        "build": lambda g: g,
+        "build+is_molecular": is_molecular,
+        "build+find_sil": find_sil,
+        "build+classify": lambda g: classify(gp.uniform(g, gp.z2())),
     }
     results = {}
     for family, edges_of in FAMILIES.items():
@@ -91,16 +89,19 @@ def measure(gp):
                 if over:
                     row[str(n)] = None
                     continue
-                took = best_time(fn, builder(n, edges_of(n)))
+                names = tuple(f"v{i}" for i in range(n))
+                es = frozenset(frozenset((names[a], names[b])) for a, b in edges_of(n))
+                took = best_time(lambda: fn(SimplicialGraph(names, es)))
                 row[str(n)] = round(took, 6)
                 over = took > BUDGET_S
-                print(f"{family:>20}  {fname:<13} n={n:<4} {took * 1e3:11.2f} ms", flush=True)
+                print(f"{family:>20}  {fname:<18} n={n:<4} {took * 1e3:11.2f} ms", flush=True)
     return results
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Time is_molecular, find_sil and classify on growing graphs.")
+        description="Time graph construction alone and followed by is_molecular, "
+                    "find_sil or classify, on growing graphs.")
     parser.add_argument("root", type=Path, help="source checkout whose src/ holds gpkit")
     parser.add_argument("--label", required=True, help="key for this run, e.g. parent or change")
     args = parser.parse_args(argv)
@@ -113,7 +114,7 @@ def main(argv=None):
     record = json.loads(OUT.read_text()) if OUT.exists() else {}
     record.update({
         "harness": "scripts/bench_graphs.py",
-        "unit": "seconds, best of up to 3 calls; null = skipped after a call over the budget",
+        "unit": "seconds, best of up to 5 calls; null = skipped after a call over the budget",
         "sizes": list(SIZES),
     })
     runs = record.setdefault("runs", {})

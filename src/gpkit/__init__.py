@@ -19,8 +19,6 @@ from .groups import (
     NotAGroup,
     QuotientFlags,
     automorphisms,
-    center,
-    central_quotient,
     cyclic,
     cyclic_table,
     infinite_cyclic,
@@ -36,7 +34,6 @@ from .words import (
     BadSyllable,
     NormalWord,
     Syllable,
-    commutes_with_all_generators,
     invert,
     multiply,
     normal_form,
@@ -47,9 +44,8 @@ from .words import (
 __all__ = [
     "BadSyllable", "GpkitError", "GroupDescriptor", "IDENTITY", "JoinDecomposition",
     "LabeledGraph", "MultTable", "NormalWord", "NotAGroup", "QuotientFlags",
-    "SilWitness", "SimplicialGraph", "Syllable", "automorphisms", "center",
-    "central_quotient", "commutes_with_all_generators", "cyclic", "cyclic_table",
-    "find_sil", "graph", "infinite_cyclic", "invert", "is_complete",
+    "SilWitness", "SimplicialGraph", "Syllable", "automorphisms", "cyclic",
+    "cyclic_table", "find_sil", "graph", "infinite_cyclic", "invert", "is_complete",
     "is_molecular", "join_decompose", "join_pairs_partition", "labeled",
     "matches_complete_join_pairs", "multiply", "normal_form", "opaque",
     "quotient_flags", "retract", "table_group", "uniform", "validate",

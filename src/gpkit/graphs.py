@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class SimplicialGraph:
     """Undirected graph without loops or multi-edges.
+
+    Adjacency is one `int` bitmask per vertex, built with the edge check:
+    bit j of _masks[i] is set when the vertices with declaration indices i
+    and j are adjacent.
 
     >>> g = graph("abc", ["ab", "bc"])
     >>> sorted(g.link("b"))
@@ -25,53 +28,37 @@ class SimplicialGraph:
 
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
+    _order: dict[str, int] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        listed = set(self.vertices)
-        if len(listed) != len(self.vertices):
+        order = {v: i for i, v in enumerate(self.vertices)}
+        if len(order) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
+        masks = [0] * len(order)
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {sorted(e)} must join two distinct vertices")
-            if not e <= listed:
+            u, w = e
+            i, j = order.get(u), order.get(w)
+            if i is None or j is None:
                 raise ValueError(f"edge {sorted(e)} references undeclared vertices")
-
-    @cached_property
-    def _adj(self) -> dict[str, frozenset[str]]:
-        nbrs: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            u, w = tuple(e)
-            nbrs[u].add(w)
-            nbrs[w].add(u)
-        return {v: frozenset(ws) for v, ws in nbrs.items()}
-
-    @cached_property
-    def _order(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        """Adjacency as int bitmasks: bit j of _masks[i] is set when the
-        vertices with declaration indices i and j are adjacent."""
-        order = self._order
-        masks = [0] * len(self.vertices)
-        for u, w in self.edges:
-            i, j = order[u], order[w]
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-        return tuple(masks)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def index(self, v: str) -> int:
         return self._order[v]
 
     def link(self, v: str) -> frozenset[str]:
-        return self._adj[v]
+        return _names(self, self._masks[self._order[v]])
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return self._masks[self._order[v]].bit_count()
 
     def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj[u]
+        return bool(self._masks[self._order[u]] >> self._order[v] & 1)
 
 
 def graph(vertices, edges=()) -> SimplicialGraph:
@@ -157,18 +144,19 @@ def join_pairs_partition(g: SimplicialGraph):
     >>> join_pairs_partition(graph("abc", ["ab"])) is None
     True
     """
-    n = len(g.vertices)
+    masks = g._masks
+    every = (1 << len(masks)) - 1
     blocks = []
-    for v in g.vertices:
-        d = g.degree(v)
-        if d == n - 1:
-            blocks.append((v,))
-        elif d < n - 2:
+    for i, m in enumerate(masks):
+        missing = every & ~m & ~(1 << i)
+        if not missing:
+            blocks.append((g.vertices[i],))
+        elif missing & (missing - 1):
             return None
         else:
-            w = next(w for w in g.vertices if w != v and not g.has_edge(v, w))
-            if g.index(w) > g.index(v):
-                blocks.append((v, w))
+            j = missing.bit_length() - 1  # the one vertex i misses
+            if j > i:
+                blocks.append((g.vertices[i], g.vertices[j]))
     return tuple(blocks)
 
 
@@ -188,7 +176,12 @@ def _flood(masks, seed: int, allowed: int) -> int:
 
 
 def _names(g: SimplicialGraph, mask: int) -> frozenset[str]:
-    return frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(g.vertices[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(names)
 
 
 def _components(masks):

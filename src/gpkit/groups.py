@@ -113,34 +113,6 @@ def cyclic_table(n: int) -> MultTable:
     return MultTable(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
-def center(table: MultTable) -> frozenset[int]:
-    """Elements commuting with everything; always contains 0."""
-    n = table.order
-    return frozenset(
-        z for z in range(n) if all(table.mul(z, a) == table.mul(a, z) for a in range(n))
-    )
-
-
-def central_quotient(table: MultTable) -> MultTable:
-    """Multiplication table on the cosets of the center.
-
-    Cosets are represented by their smallest element index, and the coset of
-    the identity lands at index 0.
-    """
-    z = center(table)
-    n = table.order
-    coset_min: dict[int, int] = {}
-    for a in range(n):
-        coset_min[a] = min(table.mul(a, x) for x in z)
-    reps = sorted(set(coset_min.values()))
-    pos = {r: i for i, r in enumerate(reps)}
-    rows = [
-        [pos[coset_min[table.mul(a, b)]] for b in reps]
-        for a in reps
-    ]
-    return validate(rows)
-
-
 def automorphisms(
     table: MultTable, max_order: int = AUTOMORPHISM_ORDER_BOUND
 ) -> list[tuple[int, ...]]:

@@ -270,10 +270,6 @@ def tree_distance(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> int:
     return len(rel) + (0 if fp.sides[rel[0][0]] == x.side else 1)
 
 
-def adjacent(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> bool:
-    return tree_distance(fp, x, y) == 1
-
-
 def _cyclic_reduce(fp: FreeProduct, g: tuple):
     """Return (p, c) with g = p c p^-1 and c cyclically reduced."""
     p = ()

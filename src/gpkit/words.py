@@ -221,11 +221,6 @@ def invert(w: NormalWord, ctx: LabeledGraph) -> NormalWord:
     return normal_form(rev, ctx)
 
 
-def conjugate(w: NormalWord, by: NormalWord, ctx: LabeledGraph) -> NormalWord:
-    """by * w * by^-1."""
-    return multiply(multiply(by, w, ctx), invert(by, ctx), ctx)
-
-
 def retract(w: NormalWord, u: str, v: str, ctx: LabeledGraph) -> NormalWord:
     """Project onto the free product of the u and v vertex groups.
 
@@ -241,22 +236,3 @@ def retract(w: NormalWord, u: str, v: str, ctx: LabeledGraph) -> NormalWord:
         raise VerticesAdjacent(f"vertices {u!r} and {v!r} are adjacent")
     kept = [s for s in w.syllables if s.vertex in (u, v)]
     return normal_form(kept, ctx)
-
-
-def commutes_with_all_generators(w: NormalWord, ctx: LabeledGraph) -> bool:
-    """Whether w is central: commutator with every vertex-group element dies.
-
-    Requires all vertex groups finite.
-    """
-    t = ctx.word_tables
-    w_inv = invert(w, ctx)
-    for v, f in zip(t.names, t.factors):
-        if f.order is None:
-            raise ValueError("centrality scan requires finite vertex groups")
-        for e in range(1, f.order):
-            s = NormalWord((Syllable(v, e),))
-            s_inv = NormalWord((Syllable(v, f.inv(e)),))
-            comm = multiply(multiply(w, s, ctx), multiply(w_inv, s_inv, ctx), ctx)
-            if not comm.is_identity:
-                return False
-    return True

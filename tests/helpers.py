@@ -25,9 +25,9 @@ from gpkit.graphs import (
     induced,
     matches_complete_join_pairs,
 )
-from gpkit.groups import GroupDescriptor, concrete_table, order_of
+from gpkit.groups import GroupDescriptor, MultTable, concrete_table, order_of
 from gpkit.labeled import LabeledGraph
-from gpkit.tree import FreeProduct, TreeVertex, ball_elements, base
+from gpkit.tree import FreeProduct, TreeVertex, ball_elements, base, tree_distance
 from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, normal_form
 
 
@@ -133,6 +133,55 @@ def random_graph(rng, n: int, p: float = 0.5) -> SimplicialGraph:
 
 
 # ---------------------------------------------------------------------------
+# Group, word and tree operations only the tests use
+
+def center(table: MultTable) -> frozenset[int]:
+    """Elements commuting with everything; always contains 0."""
+    n = table.order
+    return frozenset(
+        z for z in range(n) if all(table.mul(z, a) == table.mul(a, z) for a in range(n))
+    )
+
+
+def central_quotient(table: MultTable) -> MultTable:
+    """Multiplication table on the cosets of the center.
+
+    Cosets are represented by their smallest element index, and the coset of
+    the identity lands at index 0.
+    """
+    z = center(table)
+    n = table.order
+    coset_min = {a: min(table.mul(a, x) for x in z) for a in range(n)}
+    reps = sorted(set(coset_min.values()))
+    pos = {r: i for i, r in enumerate(reps)}
+    return validate([[pos[coset_min[table.mul(a, b)]] for b in reps] for a in reps])
+
+
+def conjugate(w: NormalWord, by: NormalWord, ctx: LabeledGraph) -> NormalWord:
+    """by * w * by^-1."""
+    return multiply(multiply(by, w, ctx), invert(by, ctx), ctx)
+
+
+def commutes_with_all_generators(w: NormalWord, ctx: LabeledGraph) -> bool:
+    """Whether w is central: every vertex-group element conjugates it to itself.
+
+    Requires all vertex groups finite.
+    """
+    for v, desc in zip(ctx.graph.vertices, ctx.labels):
+        order = order_of(desc)
+        if order is None:
+            raise ValueError("centrality scan requires finite vertex groups")
+        for e in range(1, order):
+            if conjugate(w, NormalWord((Syllable(v, e),)), ctx) != w:
+                return False
+    return True
+
+
+def adjacent(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> bool:
+    return tree_distance(fp, x, y) == 1
+
+
+# ---------------------------------------------------------------------------
 # Rewriting-closure word oracle
 
 class WordSystem:
@@ -140,7 +189,7 @@ class WordSystem:
 
     def __init__(self, ctx: LabeledGraph):
         self.ctx = ctx
-        self.adj = ctx.graph._adj
+        self.adj = _links(ctx.graph)
         self.factors = _reference_factors(ctx)
         self.alphabet = [
             (v, e)
@@ -256,11 +305,18 @@ def _reference_factors(ctx: LabeledGraph):
     }
 
 
+def _links(g: SimplicialGraph) -> dict[str, frozenset[str]]:
+    """Vertex name -> its neighbours, from the public `link` alone."""
+    return {v: g.link(v) for v in g.vertices}
+
+
 def reference_normal_form(raw, ctx: LabeledGraph) -> NormalWord:
     """Canonical word of a sequence of valid syllables, by the slow route."""
+    g = ctx.graph
+    adj = _links(g)
     word = [(s.vertex, s.element) for s in raw if s.element != 0]
-    word = _reduce(word, ctx.graph._adj, _reference_factors(ctx))
-    word = _canonical(word, ctx.graph._order, ctx.graph._adj)
+    word = _reduce(word, adj, _reference_factors(ctx))
+    word = _canonical(word, {v: i for i, v in enumerate(g.vertices)}, adj)
     return NormalWord(tuple(Syllable(v, e) for v, e in word))
 
 

@@ -42,12 +42,20 @@ def test_docstrings():
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        SimplicialGraph(("a", "b"), frozenset({frozenset({"a"})}))
-    with pytest.raises(ValueError):
-        SimplicialGraph(("a",), frozenset({frozenset({"a", "b"})}))
-    with pytest.raises(ValueError):
-        SimplicialGraph(("a", "a"), frozenset())
+    # each constructor error keeps its exact message
+    cases = [
+        (("a", "b"), [("a",)], "edge ['a'] must join two distinct vertices"),
+        (("a", "b", "c"), [("a", "b", "c")], "edge ['a', 'b', 'c'] must join two distinct vertices"),
+        (("a",), [("a", "b")], "edge ['a', 'b'] references undeclared vertices"),
+        (("a", "b"), [("x", "b")], "edge ['b', 'x'] references undeclared vertices"),
+        (("a",), [("x", "y")], "edge ['x', 'y'] references undeclared vertices"),
+        (("a", "a"), [], "duplicate vertex ids"),
+        (("a", "b", "a"), [("a", "b")], "duplicate vertex ids"),
+    ]
+    for vertices, edges, message in cases:
+        with pytest.raises(ValueError) as err:
+            SimplicialGraph(vertices, frozenset(frozenset(e) for e in edges))
+        assert str(err.value) == message
 
 
 def test_join_decompose_path():

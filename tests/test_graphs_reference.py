@@ -1,12 +1,23 @@
 """The bitmask graph layer against the searches it replaced (tests/helpers.py)
-and against networkx as an independent oracle."""
+and against networkx as an independent oracle, down to the adjacency queries
+and join read-offs that run on the same masks."""
 
 import random
 
 import networkx as nx
 import pytest
 
-from gpkit.graphs import SimplicialGraph, connected_components, find_sil, graph, is_molecular
+from gpkit.graphs import (
+    JoinDecomposition,
+    SimplicialGraph,
+    complement_degrees,
+    connected_components,
+    find_sil,
+    graph,
+    is_molecular,
+    join_decompose,
+    join_pairs_partition,
+)
 
 from .helpers import (
     all_graphs,
@@ -71,10 +82,40 @@ def _nx_sil(g: SimplicialGraph, h):
     return None
 
 
+def _nx_pairs_partition(g: SimplicialGraph, h):
+    """Singletons of the vertices the complement isolates and its edges as
+    pairs, listed by first vertex in declaration order; None when some
+    vertex misses two others."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    hc = nx.complement(h)
+    if any(d > 1 for _, d in hc.degree):
+        return None
+    blocks = [(v,) for v in g.vertices if hc.degree(v) == 0]
+    blocks += [tuple(sorted(e, key=index.get)) for e in hc.edges]
+    return tuple(sorted(blocks, key=lambda b: index[b[0]]))
+
+
+def _check_queries(g: SimplicialGraph, h):
+    """The adjacency queries and the join read-offs against networkx."""
+    n = len(g.vertices)
+    for v in g.vertices:
+        assert g.link(v) == frozenset(h[v])
+        assert g.degree(v) == h.degree(v)
+        for u in g.vertices:
+            assert g.has_edge(v, u) == h.has_edge(v, u)
+    assert join_decompose(g) == JoinDecomposition(
+        tuple(v for v in g.vertices if h.degree(v) == n - 1),
+        tuple(v for v in g.vertices if h.degree(v) < n - 1),
+    )
+    assert complement_degrees(g) == dict(nx.complement(h).degree)
+    assert join_pairs_partition(g) == _nx_pairs_partition(g, h)
+
+
 def _check(g: SimplicialGraph, h=None):
-    """Compare all three functions with the references and with networkx;
-    return whether g has a SIL."""
+    """Compare the adjacency queries and all three searches with the
+    references and with networkx; return whether g has a SIL."""
     h = _nx(g) if h is None else h
+    _check_queries(g, h)
     comps = connected_components(g)
     assert comps == reference_connected_components(g)
     assert set(comps) == {frozenset(c) for c in nx.connected_components(h)}
@@ -114,12 +155,14 @@ def test_molecular_sparse_graphs_occur_and_agree():
     for n in range(5, 41):
         g = _shuffled_random_graph(rng, n, 3.0 / n)
         h = _nx(g)
+        _check_queries(g, h)
         assert is_molecular(g) == reference_is_molecular(g) == _nx_molecular(h)
         verdicts.append(is_molecular(g))
     for n in range(5, 40, 3):
         for span in range(2, n - 1):
             g = _ring_with_chord(n, span, start=span % n)
             h = _nx(g)
+            _check_queries(g, h)
             assert nx.girth(h) == min(span, n - span) + 1
             assert is_molecular(g) == reference_is_molecular(g) == _nx_molecular(h)
             verdicts.append(is_molecular(g))

@@ -12,8 +12,6 @@ from gpkit.groups import (
     OrderTooLarge,
     QuotientFlags,
     automorphisms,
-    center,
-    central_quotient,
     concrete_table,
     cyclic,
     cyclic_table,
@@ -31,7 +29,7 @@ from gpkit.groups import (
     z2,
 )
 
-from .helpers import d4_table, direct_product_table, s3_table
+from .helpers import center, central_quotient, d4_table, direct_product_table, s3_table
 
 
 def test_validate_z2():

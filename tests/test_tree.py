@@ -13,7 +13,6 @@ from gpkit.tree import (
     TreeVertex,
     act,
     act_auto,
-    adjacent,
     ball_elements,
     base,
     free_product,
@@ -28,6 +27,7 @@ from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, word_o
 from .helpers import (
     GENERATES_ALL,
     NOT_WITHIN_RADIUS,
+    adjacent,
     bfs_distances,
     fp_of,
     generation_probe,

@@ -15,7 +15,6 @@ from gpkit.words import (
     SameVertex,
     Syllable,
     VerticesAdjacent,
-    commutes_with_all_generators,
     invert,
     multiply,
     normal_form,
@@ -27,6 +26,7 @@ from .conftest import context_and_words_st, contexts_st
 from .helpers import (
     WordSystem,
     all_graphs,
+    commutes_with_all_generators,
     d4_table,
     equality_classes,
     random_graph,
