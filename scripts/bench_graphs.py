@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Scaling record for the graph layer: graph construction, and
-`is_molecular`, `find_sil` and `classify` each on a graph built inside the
-timed call, on growing all-Z2 graphs.
+"""Scaling record for the graph layer: graph-file parsing, graph
+construction, and `is_molecular`, `find_sil` and `classify` each on a graph
+built inside the timed call, on growing all-Z2 graphs.
 
     python3 scripts/bench_graphs.py SOURCE_ROOT --label parent
     python3 scripts/bench_graphs.py . --label change
@@ -13,13 +13,15 @@ on the parent and on the change gives the before/after record.
 
 Families: random graphs with round(p * n(n-1)/2) edges at p = 0.5 (seeded),
 and rings with one chord spanning four steps (girth 5, so `is_molecular`
-runs its whole girth test and there is no SIL).  n = 40, 80, 160, 320.  Each
-row times `SimplicialGraph(names, edges)` from the same prepared names and
-edge set, alone ("build") or followed by one function, so adjacency is paid
-inside every row whether it is built by the constructor or lazily on first
-use.  Each timing is the best of up to five calls.  Once a call takes longer
-than BUDGET_S, larger n of that row and family are recorded as null: before
-the bitmask graph layer, `find_sil` at n=320 would take minutes.
+runs its whole girth test and there is no SIL).  n = 40 to 1280.  The
+"parse" row times `cli.parse_graph_file` on the graph's file text (one
+`vertex` line per vertex, one `edge` line per edge).  The other rows time
+`graphs.graph(names, pairs)` from the same prepared names and vertex-name
+pairs, alone ("build") or followed by one function, so adjacency is paid
+inside every row however the graph stores it.  Each timing is the best of up
+to five calls.  Once a call takes longer than BUDGET_S, larger n of that row
+and family are recorded as null: `find_sil` floods once per non-adjacent
+pair, so on the random family it passes the budget near n=640.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import time
 from pathlib import Path
 
 OUT = Path(__file__).resolve().parent.parent / "BENCH_graphs.json"
-SIZES = (40, 80, 160, 320)
+SIZES = (40, 80, 160, 320, 640, 1280)
 BUDGET_S = 10.0
 DENSITY = 0.5
 CHORD_SPAN = 4
@@ -69,15 +71,25 @@ def best_time(call, repeats=5, spend=2.0):
     return best
 
 
+def graph_file(names, pairs):
+    lines = [f"vertex {v} Z2" for v in names] + [f"edge {a} {b}" for a, b in pairs]
+    return "\n".join(lines) + "\n"
+
+
 def measure(gp):
     from gpkit.classify import classify
-    from gpkit.graphs import SimplicialGraph, find_sil, is_molecular
+    from gpkit.cli import parse_graph_file
+    from gpkit.graphs import find_sil, graph, is_molecular
+
+    def built(fn):
+        return lambda names, pairs, text: fn(graph(names, pairs))
 
     functions = {
-        "build": lambda g: g,
-        "build+is_molecular": is_molecular,
-        "build+find_sil": find_sil,
-        "build+classify": lambda g: classify(gp.uniform(g, gp.z2())),
+        "parse": lambda names, pairs, text: parse_graph_file(text),
+        "build": built(lambda g: g),
+        "build+is_molecular": built(is_molecular),
+        "build+find_sil": built(find_sil),
+        "build+classify": built(lambda g: classify(gp.uniform(g, gp.z2()))),
     }
     results = {}
     for family, edges_of in FAMILIES.items():
@@ -90,8 +102,9 @@ def measure(gp):
                     row[str(n)] = None
                     continue
                 names = tuple(f"v{i}" for i in range(n))
-                es = frozenset(frozenset((names[a], names[b])) for a, b in edges_of(n))
-                took = best_time(lambda: fn(SimplicialGraph(names, es)))
+                pairs = [(names[a], names[b]) for a, b in edges_of(n)]
+                text = graph_file(names, pairs)
+                took = best_time(lambda: fn(names, pairs, text))
                 row[str(n)] = round(took, 6)
                 over = took > BUDGET_S
                 print(f"{family:>20}  {fname:<18} n={n:<4} {took * 1e3:11.2f} ms", flush=True)
@@ -100,8 +113,8 @@ def measure(gp):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Time graph construction alone and followed by is_molecular, "
-                    "find_sil or classify, on growing graphs.")
+        description="Time graph-file parsing, and graph construction alone and "
+                    "followed by is_molecular, find_sil or classify, on growing graphs.")
     parser.add_argument("root", type=Path, help="source checkout whose src/ holds gpkit")
     parser.add_argument("--label", required=True, help="key for this run, e.g. parent or change")
     args = parser.parse_args(argv)

@@ -269,7 +269,7 @@ def classify_molecular(ctx: LabeledGraph) -> Verdict:
     and edges): only a single vertex or edge with (T) quotients passes."""
     g = ctx.graph
     n = len(g.vertices)
-    tiny = n == 1 or (n == 2 and len(g.edges) == 1)
+    tiny = n == 1 or (n == 2 and g.has_edge(*g.vertices))
     if not tiny and not is_molecular(g):
         raise NotMolecular(
             "graph is neither molecular nor a single vertex or single edge"

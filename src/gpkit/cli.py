@@ -112,9 +112,9 @@ def parse_table_file(text: str) -> groups.MultTable:
 def parse_graph_file(text: str, base_dir: str | Path = ".") -> LabeledGraph:
     """Parse a graph file into a LabeledGraph, vertices in declaration order."""
     base_dir = Path(base_dir)
-    order: list[str] = []
-    labels: dict[str, groups.GroupDescriptor] = {}
-    edges: set[frozenset[str]] = set()
+    order: dict[str, int] = {}
+    labels: list[groups.GroupDescriptor] = []
+    masks: list[int] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,29 +124,31 @@ def parse_graph_file(text: str, base_dir: str | Path = ".") -> LabeledGraph:
             if len(parts) != 3:
                 raise ParseError(line_no, "expected: vertex <id> <descriptor>")
             _, vid, desc_tok = parts
-            if vid in labels:
+            if vid in order:
                 raise DuplicateVertex(line_no, f"vertex {vid!r} declared twice")
-            labels[vid] = _parse_descriptor(desc_tok, base_dir, line_no)
-            order.append(vid)
+            labels.append(_parse_descriptor(desc_tok, base_dir, line_no))
+            order[vid] = len(masks)
+            masks.append(0)
         elif parts[0] == "edge":
             if len(parts) != 3:
                 raise ParseError(line_no, "expected: edge <id> <id>")
             _, a, b = parts
             if a == b:
                 raise SelfLoop(line_no, f"self-loop at vertex {a!r}")
-            for x in (a, b):
-                if x not in labels:
-                    raise UnknownVertexInEdge(line_no, f"edge uses undeclared vertex {x!r}")
-            e = frozenset((a, b))
-            if e in edges:
+            i, j = order.get(a), order.get(b)
+            if i is None or j is None:
+                x = a if i is None else b
+                raise UnknownVertexInEdge(line_no, f"edge uses undeclared vertex {x!r}")
+            if masks[i] >> j & 1:
                 raise ParseError(line_no, f"duplicate edge {a!r}-{b!r}")
-            edges.add(e)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         else:
             raise ParseError(line_no, f"unknown directive {parts[0]!r}")
     if not order:
         raise ParseError(0, "no vertices declared")
-    g = graphs.SimplicialGraph(tuple(order), frozenset(edges))
-    return LabeledGraph(g, tuple(labels[v] for v in order))
+    g = graphs.SimplicialGraph(tuple(order), tuple(masks))
+    return LabeledGraph(g, tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +170,14 @@ def parse_word_literal(text: str, ctx: LabeledGraph) -> words.NormalWord:
         m = _TOKEN_INDEX.fullmatch(tok)
         if m:
             v = m.group("v")
-            if v in ctx.graph._order and ctx.label(v).kind == "Z":
+            if v in ctx.graph and ctx.label(v).kind == "Z":
                 raise words.BadSyllable(v, m.group("e"), "infinite cyclic vertices use v^k tokens")
             sylls.append(words.Syllable(v, int(m.group("e"))))
             continue
         m = _TOKEN_POWER.fullmatch(tok)
         if m:
             v = m.group("v")
-            if v in ctx.graph._order and ctx.label(v).kind != "Z":
+            if v in ctx.graph and ctx.label(v).kind != "Z":
                 raise words.BadSyllable(v, m.group("k"), "finite vertices use v[i] tokens")
             sylls.append(words.Syllable(v, int(m.group("k"))))
             continue

@@ -15,50 +15,49 @@ from dataclasses import dataclass, field
 class SimplicialGraph:
     """Undirected graph without loops or multi-edges.
 
-    Adjacency is one `int` bitmask per vertex, built with the edge check:
-    bit j of _masks[i] is set when the vertices with declaration indices i
-    and j are adjacent.
+    Adjacency is one `int` bitmask per vertex: bit j of masks[i] is set when
+    the vertices with declaration indices i and j are adjacent.  The checked
+    builders are `graph` and `cli.parse_graph_file`; each sets the bits as it
+    checks the edges.
 
     >>> g = graph("abc", ["ab", "bc"])
     >>> sorted(g.link("b"))
     ['a', 'c']
     >>> g.degree("a")
     1
+    >>> "d" in g
+    False
     """
 
     vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
+    masks: tuple[int, ...]
     _order: dict[str, int] = field(init=False, repr=False, compare=False)
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = {v: i for i, v in enumerate(self.vertices)}
         if len(order) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        masks = [0] * len(order)
-        for e in self.edges:
-            if len(e) != 2:
-                raise ValueError(f"edge {sorted(e)} must join two distinct vertices")
-            u, w = e
-            i, j = order.get(u), order.get(w)
-            if i is None or j is None:
-                raise ValueError(f"edge {sorted(e)} references undeclared vertices")
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_masks", tuple(masks))
+
+    def __contains__(self, v) -> bool:
+        return v in self._order
+
+    @property
+    def edges(self) -> frozenset[frozenset[str]]:
+        """The edges as vertex-id pairs, read off the masks on each call."""
+        return frozenset(frozenset((v, w)) for v in self.vertices for w in self.link(v))
 
     def index(self, v: str) -> int:
         return self._order[v]
 
     def link(self, v: str) -> frozenset[str]:
-        return _names(self, self._masks[self._order[v]])
+        return _names(self, self.masks[self._order[v]])
 
     def degree(self, v: str) -> int:
-        return self._masks[self._order[v]].bit_count()
+        return self.masks[self._order[v]].bit_count()
 
     def has_edge(self, u: str, v: str) -> bool:
-        return bool(self._masks[self._order[u]] >> self._order[v] & 1)
+        return bool(self.masks[self._order[u]] >> self._order[v] & 1)
 
 
 def graph(vertices, edges=()) -> SimplicialGraph:
@@ -68,8 +67,18 @@ def graph(vertices, edges=()) -> SimplicialGraph:
     True
     """
     vs = tuple(vertices)
-    es = frozenset(frozenset(e) for e in edges)
-    return SimplicialGraph(vs, es)
+    order = {v: i for i, v in enumerate(vs)}
+    masks = [0] * len(vs)
+    for e in map(set, edges):
+        if len(e) != 2:
+            raise ValueError(f"edge {sorted(e)} must join two distinct vertices")
+        u, w = e
+        i, j = order.get(u), order.get(w)
+        if i is None or j is None:
+            raise ValueError(f"edge {sorted(e)} references undeclared vertices")
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+    return SimplicialGraph(vs, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -94,13 +103,11 @@ class SilWitness:
 def induced(g: SimplicialGraph, keep) -> SimplicialGraph:
     """Induced subgraph on the given vertices, preserving declaration order."""
     kept = set(keep)
-    vs = tuple(v for v in g.vertices if v in kept)
-    es = frozenset(e for e in g.edges if e <= kept)
-    return SimplicialGraph(vs, es)
+    return graph((v for v in g.vertices if v in kept), (e for e in g.edges if e <= kept))
 
 
 def is_complete(g: SimplicialGraph) -> bool:
-    return len(g.edges) == len(g.vertices) * (len(g.vertices) - 1) // 2
+    return all(m.bit_count() == len(g.vertices) - 1 for m in g.masks)
 
 
 def join_decompose(g: SimplicialGraph) -> JoinDecomposition:
@@ -144,7 +151,7 @@ def join_pairs_partition(g: SimplicialGraph):
     >>> join_pairs_partition(graph("abc", ["ab"])) is None
     True
     """
-    masks = g._masks
+    masks = g.masks
     every = (1 << len(masks)) - 1
     blocks = []
     for i, m in enumerate(masks):
@@ -195,7 +202,7 @@ def _components(masks):
 
 def connected_components(g: SimplicialGraph) -> list[frozenset[str]]:
     """Components, ordered by their smallest vertex index."""
-    return [_names(g, comp) for comp in _components(g._masks)]
+    return [_names(g, comp) for comp in _components(g.masks)]
 
 
 def girth(g: SimplicialGraph) -> float:
@@ -233,7 +240,7 @@ def find_sil(g: SimplicialGraph):
     >>> find_sil(graph("abc", ["ab", "bc"])) is None
     True
     """
-    masks = g._masks
+    masks = g.masks
     every = (1 << len(masks)) - 1
     # with no common neighbour, the pair splits the graph as its components do
     whole = {i: c for c in _components(masks) for i in range(len(masks)) if c >> i & 1}
@@ -254,7 +261,7 @@ def find_sil(g: SimplicialGraph):
 def is_molecular(g: SimplicialGraph) -> bool:
     """Non-empty, connected, min degree >= 2 and girth >= 5: no adjacent pair with a
     common neighbour (a triangle) and no pair with two (a 4-cycle), as in Itai-Rodeh."""
-    masks = g._masks
+    masks = g.masks
     if len(list(_components(masks))) != 1 or any(m.bit_count() <= 1 for m in masks):
         return False
     for i, mi in enumerate(masks):

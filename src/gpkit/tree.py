@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import SimplicialGraph
+from .graphs import graph
 from .groups import (
     AUTOMORPHISM_ORDER_BOUND,
     GpkitError,
@@ -85,7 +85,7 @@ class FreeProduct:
     def __post_init__(self):
         if len(self.ctx.graph.vertices) != 2:
             raise ValueError("a free product context has exactly two vertices")
-        if self.ctx.graph.edges:
+        if self.ctx.graph.has_edge(*self.ctx.graph.vertices):
             raise ValueError("the two vertices must be non-adjacent")
 
     @property
@@ -111,12 +111,12 @@ def free_product(ctx: LabeledGraph, u: str, v: str) -> FreeProduct:
     """Extract the free-product context of two non-adjacent vertices of ctx."""
     if u == v:
         raise SameVertex(f"need two distinct vertices, got {u!r} twice")
-    if u not in ctx.graph._order or v not in ctx.graph._order:
-        missing = u if u not in ctx.graph._order else v
+    if u not in ctx.graph or v not in ctx.graph:
+        missing = u if u not in ctx.graph else v
         raise BadSyllable(missing, 0, "unknown vertex")
     if ctx.graph.has_edge(u, v):
         raise VerticesAdjacent(f"vertices {u!r} and {v!r} are adjacent")
-    sub = SimplicialGraph((u, v), frozenset())
+    sub = graph((u, v))
     return FreeProduct(LabeledGraph(sub, (ctx.label(u), ctx.label(v))))
 
 
@@ -200,7 +200,7 @@ def _inverse(fp: FreeProduct, u: tuple) -> tuple:
 def _letters(fp: FreeProduct, w: NormalWord) -> tuple:
     """w as an alternating word; any syllable sequence over the two sides is
     multiplied out, and a syllable off them is a BadSyllable."""
-    index = fp.ctx.graph._order
+    index = fp.ctx.word_tables.index
     factors = fp.ctx.word_tables.factors
     out = []
     for syl in w.syllables:

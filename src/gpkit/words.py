@@ -134,7 +134,7 @@ class WordTables:
     def __init__(self, ctx: LabeledGraph):
         g = ctx.graph
         self.names = g.vertices
-        self.index = g._order
+        self.index = {v: i for i, v in enumerate(g.vertices)}
         self.factors = tuple(_build_factor(d) for d in ctx.labels)
         # noncommuting[i]: vertices whose syllables do not commute with i's, i included
         self.noncommuting = tuple(
@@ -228,8 +228,8 @@ def retract(w: NormalWord, u: str, v: str, ctx: LabeledGraph) -> NormalWord:
     homomorphism precisely because u and v are required to be non-adjacent.
     """
     g = ctx.graph
-    if u not in g._order or v not in g._order:
-        raise BadSyllable(u if u not in g._order else v, 0, "unknown vertex")
+    if u not in g or v not in g:
+        raise BadSyllable(u if u not in g else v, 0, "unknown vertex")
     if u == v:
         raise SameVertex(f"retraction needs two distinct vertices, got {u!r} twice")
     if g.has_edge(u, v):

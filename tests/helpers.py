@@ -121,9 +121,8 @@ def graph_iso_classes(n: int):
 
 def relabel(g: SimplicialGraph, mapping):
     """Isomorphic copy along a vertex bijection, preserving position order."""
-    vs = tuple(mapping[v] for v in g.vertices)
-    es = frozenset(frozenset(mapping[x] for x in e) for e in g.edges)
-    return SimplicialGraph(vs, es)
+    return graph((mapping[v] for v in g.vertices),
+                 ((mapping[x] for x in e) for e in g.edges))
 
 
 def random_graph(rng, n: int, p: float = 0.5) -> SimplicialGraph:
@@ -600,12 +599,9 @@ def complement(g: SimplicialGraph) -> SimplicialGraph:
     >>> complement(graph("abc", ["ab", "bc", "ac"])).edges
     frozenset()
     """
-    es = frozenset(
-        frozenset((u, v))
-        for u, v in itertools.combinations(g.vertices, 2)
-        if not g.has_edge(u, v)
-    )
-    return SimplicialGraph(g.vertices, es)
+    return graph(g.vertices, (
+        (u, v) for u, v in itertools.combinations(g.vertices, 2) if not g.has_edge(u, v)
+    ))
 
 
 def distance(g: SimplicialGraph, u: str, v: str) -> float:

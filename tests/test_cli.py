@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ from gpkit.groups import NotAGroup
 from gpkit.labeled import LabeledGraph
 from gpkit.words import BadSyllable
 
-from .helpers import serialize_graph_file
+from .helpers import random_graph, serialize_graph_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -46,10 +48,15 @@ def test_parse_graph_file_errors():
         parse_graph_file("vertex a Z2\nvertex a Z2\n")
     with pytest.raises(UnknownVertexInEdge):
         parse_graph_file("vertex a Z2\nedge a b\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_graph_file("")
-    with pytest.raises(ParseError):
+    assert str(err.value) == "line 0: no vertices declared"
+    with pytest.raises(ParseError) as err:
         parse_graph_file("vertex a Z2\nvertex b Z2\nedge a b\nedge b a\n")
+    assert str(err.value) == "line 4: duplicate edge 'b'-'a'"
+    with pytest.raises(ParseError) as err:
+        parse_graph_file("vertex a Z2\nvertex b Z2\nedge a b\nedge a b\n")
+    assert str(err.value) == "line 4: duplicate edge 'a'-'b'"
     with pytest.raises(ParseError):
         parse_graph_file("vertex a Z/1\n")
     with pytest.raises(ParseError):
@@ -105,6 +112,21 @@ def test_serialize_round_trip_all_descriptor_kinds(tmp_path):
     )
     ctx = parse_graph_file(text, base_dir=tmp_path)
     assert parse_graph_file(serialize_graph_file(ctx), base_dir=tmp_path) == ctx
+
+
+def test_file_route_matches_graph_builder():
+    # graphs built by graph() and by parse_graph_file compare by their masks,
+    # so this checks the two builders against each other
+    rng = random.Random(5)
+    cases = [graph("abcd"), graph("abcd", itertools.combinations("abcd", 2))]
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 12), p=rng.choice((0.2, 0.5, 0.8)))
+        order = list(g.vertices)
+        rng.shuffle(order)
+        cases.append(graph(order, g.edges))
+    for g in cases:
+        ctx = uniform(g, z2())
+        assert parse_graph_file(serialize_graph_file(ctx)) == ctx
 
 
 def test_word_literals():
