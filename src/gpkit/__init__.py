@@ -3,7 +3,6 @@
 from .graphs import (
     JoinDecomposition,
     SilWitness,
-    SimplicialGraph,
     find_sil,
     graph,
     is_complete,
@@ -44,7 +43,7 @@ from .words import (
 __all__ = [
     "BadSyllable", "GpkitError", "GroupDescriptor", "IDENTITY", "JoinDecomposition",
     "LabeledGraph", "MultTable", "NormalWord", "NotAGroup", "QuotientFlags",
-    "SilWitness", "SimplicialGraph", "Syllable", "automorphisms", "cyclic",
+    "SilWitness", "Syllable", "automorphisms", "cyclic",
     "cyclic_table", "find_sil", "graph", "infinite_cyclic", "invert", "is_complete",
     "is_molecular", "join_decompose", "join_pairs_partition", "labeled",
     "matches_complete_join_pairs", "multiply", "normal_form", "opaque",

@@ -16,9 +16,11 @@ class SimplicialGraph:
     """Undirected graph without loops or multi-edges.
 
     Adjacency is one `int` bitmask per vertex: bit j of masks[i] is set when
-    the vertices with declaration indices i and j are adjacent.  The checked
-    builders are `graph` and `cli.parse_graph_file`; each sets the bits as it
-    checks the edges.
+    the vertices with declaration indices i and j are adjacent.  The
+    constructor checks one mask per vertex, no bit past the last vertex and
+    no vertex in its own mask.  Symmetry is left to the checked builders,
+    `graph` and `cli.parse_graph_file`, which set both bits of each edge as
+    they check it.
 
     >>> g = graph("abc", ["ab", "bc"])
     >>> sorted(g.link("b"))
@@ -37,6 +39,14 @@ class SimplicialGraph:
         order = {v: i for i, v in enumerate(self.vertices)}
         if len(order) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
+        n = len(self.vertices)
+        if len(self.masks) != n:
+            raise ValueError(f"{len(self.masks)} masks for {n} vertices")
+        for i, m in enumerate(self.masks):
+            if not 0 <= m < 1 << n:
+                raise ValueError(f"mask of vertex {self.vertices[i]!r} has bits past {n} vertices")
+            if m >> i & 1:
+                raise ValueError(f"vertex {self.vertices[i]!r} is adjacent to itself")
         object.__setattr__(self, "_order", order)
 
     def __contains__(self, v) -> bool:

@@ -1,14 +1,17 @@
-"""Concrete finite groups given by multiplication tables, plus the vertex-group
-descriptors the rest of the package consumes.
+"""Vertex groups: their descriptors, their group law, and concrete finite
+groups given by multiplication tables.
 
-Tables fix the identity at index 0.  All group axioms are checked exhaustively
-at load time, so downstream code may index into tables freely.
+This module owns vertex-group arithmetic.  `arithmetic` turns a descriptor
+into the one factor object the word engine, the tree and the automorphism
+search all compute with.  Tables fix the identity at index 0.  All group
+axioms are checked exhaustively at load time, so downstream code may index
+into tables freely.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 YES = "yes"
@@ -36,15 +39,33 @@ class OrderTooLarge(GpkitError):
         super().__init__(f"table order {n} exceeds bound {bound}")
 
 
+class _Factor:
+    """One vertex group on element codes, 0 being the identity: 0..order-1 for
+    finite groups, exponents for Z (order None).  Subclasses give mul and inv."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def valid(self, a) -> bool:
+        return isinstance(a, int) and (self.order is None or 0 <= a < self.order)
+
+    def element_order(self, a: int) -> int:
+        k, x = 1, a
+        while x != 0:
+            x = self.mul(x, a)
+            k += 1
+        return k
+
+
 @dataclass(frozen=True)
-class MultTable:
+class MultTable(_Factor):
     """Multiplication table of a finite group; entry [a][b] is the product a*b."""
 
     product: tuple[tuple[int, ...], ...]
+    order: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def order(self) -> int:
-        return len(self.product)
+    def __post_init__(self):
+        object.__setattr__(self, "order", len(self.product))
 
     def mul(self, a: int, b: int) -> int:
         return self.product[a][b]
@@ -59,12 +80,33 @@ class MultTable:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
+
+class _CyclicFactor(_Factor):
+    """Z/n as addition mod n, with no n x n table."""
+
+    def mul(self, a, b):
+        return (a + b) % self.order
+
+    def inv(self, a):
+        return -a % self.order
+
+
+class _IntFactor(_Factor):
+    def mul(self, a, b):
+        return a + b
+
+    def inv(self, a):
+        return -a
+
+
+class _OpaqueFactor(_Factor):
+    """A group known only by flags: any syllable on it is an error, so an
+    opaque vertex blocks only the words that touch it."""
+
+    def valid(self, *args):
+        raise GpkitError("opaque vertex groups are not computable; the word engine rejects them")
+
+    mul = inv = valid
 
 
 def validate(rows) -> MultTable:
@@ -114,59 +156,57 @@ def cyclic_table(n: int) -> MultTable:
 
 
 def automorphisms(
-    table: MultTable, max_order: int = AUTOMORPHISM_ORDER_BOUND
+    table: _Factor, max_order: int = AUTOMORPHISM_ORDER_BOUND
 ) -> list[tuple[int, ...]]:
     """All product-preserving bijections fixing 0, as permutations of indices.
 
-    Enumeration is a backtracking search with product propagation; the element
-    order of an image must match the element order of its preimage.
+    An automorphism is fixed by the images of a generating set (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005).  The generators are
+    taken greedily, each the least element outside the subgroup of those before
+    it, and their images are chosen in turn among elements of the same order.
+    Each choice is extended along the Cayley graph of the subgroup generated so
+    far and kept only if it is injective there and phi(a*g) = phi(a)*phi(g) for
+    every a in that subgroup and every generator g so far.
     """
     n = table.order
     if n > max_order:
         raise OrderTooLarge(n, max_order)
+    mul = table.mul
     orders = [table.element_order(a) for a in range(n)]
 
-    def propagate(phi: dict[int, int]):
-        # Close the partial map under products until stable; None on conflict.
-        while True:
-            new = {}
-            assigned = list(phi.items())
-            for (a, fa), (b, fb) in itertools.product(assigned, assigned):
-                c = table.mul(a, b)
-                fc = table.mul(fa, fb)
-                if c in phi:
-                    if phi[c] != fc:
+    def close(phi: dict[int, int], pairs: list[tuple[int, int]]):
+        # phi extended over the subgroup the (generator, image) pairs span; None on conflict.
+        phi = dict(phi)
+        taken = set(phi.values())
+        walk = list(phi)
+        for a in walk:
+            for g, y in pairs:
+                c, fc = mul(a, g), mul(phi[a], y)
+                if c not in phi:
+                    if fc in taken:
                         return None
-                elif c in new:
-                    if new[c] != fc:
-                        return None
-                else:
-                    new[c] = fc
-            if not new:
-                return phi
-            images = set(phi.values())
-            for c, fc in new.items():
-                if fc in images or orders[c] != orders[fc]:
+                    phi[c] = fc
+                    taken.add(fc)
+                    walk.append(c)
+                elif phi[c] != fc:
                     return None
-                images.add(fc)
-            phi = {**phi, **new}
+        return phi
 
     results: list[tuple[int, ...]] = []
 
-    def extend(phi: dict[int, int]):
+    def extend(phi: dict[int, int], pairs: list[tuple[int, int]]):
         if len(phi) == n:
-            results.append(tuple(phi[i] for i in range(n)))
+            results.append(tuple(phi[a] for a in range(n)))
             return
         x = min(a for a in range(n) if a not in phi)
-        taken = set(phi.values())
         for y in range(n):
-            if y in taken or orders[y] != orders[x]:
-                continue
-            closed = propagate({**phi, x: y})
-            if closed is not None:
-                extend(closed)
+            if orders[y] == orders[x]:
+                more = pairs + [(x, y)]
+                closed = close(phi, more)
+                if closed is not None:
+                    extend(closed, more)
 
-    extend({0: 0})
+    extend({0: 0}, [])
     return sorted(results)
 
 
@@ -297,15 +337,16 @@ def is_z2(desc: GroupDescriptor) -> str:
     return YES if order_of(desc) == 2 else NO
 
 
-def concrete_table(desc: GroupDescriptor) -> MultTable:
-    """Multiplication table for a finite concrete descriptor."""
-    if desc.kind == "Z2":
-        return cyclic_table(2)
-    if desc.kind == "cyclic":
-        return cyclic_table(desc.modulus)
+def arithmetic(desc: GroupDescriptor) -> _Factor:
+    """The group law of a vertex group: a table, Z/n mod n (no table), Z on
+    exponents, or a factor that rejects every element (opaque)."""
+    if desc.kind == "Z":
+        return _IntFactor(None)
+    if desc.kind in ("Z2", "cyclic"):
+        return _CyclicFactor(order_of(desc))
     if desc.kind == "table":
         return desc.table
-    raise GpkitError(f"descriptor kind {desc.kind!r} has no finite table")
+    return _OpaqueFactor(None)
 
 
 def quotient_flags(desc: GroupDescriptor) -> QuotientFlags:

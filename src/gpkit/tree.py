@@ -29,14 +29,10 @@ from functools import cached_property
 
 from .graphs import graph
 from .groups import (
-    AUTOMORPHISM_ORDER_BOUND,
     GpkitError,
-    OrderTooLarge,
     automorphisms,
-    concrete_table,
     identity_perm,
     minimal_generating_set,
-    order_of,
     subgroup_closure,
 )
 from .labeled import LabeledGraph
@@ -96,8 +92,12 @@ class FreeProduct:
         a, b = self.sides
         return b if side == a else a
 
-    def factor_table(self, side: str):
-        return concrete_table(self.ctx.label(side))
+    def factor(self, side: str):
+        """The word engine's factor for `side`; GpkitError unless it is finite."""
+        f = self.ctx.word_tables.factors[self.sides.index(side)]
+        if f.order is None:
+            raise GpkitError(f"descriptor kind {self.ctx.label(side).kind!r} has no finite table")
+        return f
 
     @cached_property
     def _arith(self):
@@ -307,7 +307,7 @@ def translation_data(fp: FreeProduct, g: NormalWord) -> AxisData:
 
 def _orders(fp: FreeProduct) -> tuple[int, int]:
     """Orders of the two factors; GpkitError unless both are finite."""
-    return tuple(order_of(d) or concrete_table(d).order for d in fp.ctx.labels)
+    return tuple(fp.factor(side).order for side in fp.sides)
 
 
 def _ball(orders, radius: int):
@@ -444,12 +444,10 @@ def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate
     are padded to equal length by cycling the shorter list.
     """
     side_a, side_b = fp.sides
-    for side in fp.sides:
-        n = order_of(fp.ctx.label(side))
-        if n is not None and n > AUTOMORPHISM_ORDER_BOUND:
-            raise OrderTooLarge(n, AUTOMORPHISM_ORDER_BOUND)
-    ta = fp.factor_table(side_a)
-    tb = fp.factor_table(side_b)
+    ta = fp.factor(side_a)
+    tb = fp.factor(side_b)
+    auts_a = automorphisms(ta)  # refuses an order past the bound before any work
+    auts_b = automorphisms(tb)
     gens_a = list(gens_a) if gens_a is not None else list(minimal_generating_set(ta))
     gens_b = list(gens_b) if gens_b is not None else list(minimal_generating_set(tb))
     for side, gens, table in ((side_a, gens_a, ta), (side_b, gens_b, tb)):
@@ -484,8 +482,6 @@ def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate
         if tree_distance(fp, x, act(fp, g, x)) != axis.translation_length:
             raise AssertionError("expected vertex off the axis; construction broken")
 
-    auts_a = automorphisms(ta)
-    auts_b = automorphisms(tb)
     survivors = []
     for alpha, beta in itertools.product(auts_a, auts_b):
         if all(act_auto(fp, alpha, beta, x) == x for x in four):

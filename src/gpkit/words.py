@@ -20,7 +20,7 @@ elements have equal canonical words.  normal_form finds it in one pass:
 L syllables over n vertices cost O(L*n + L log L).  Vertex groups must be
 finite tables, finite cyclic groups (mod-n arithmetic) or the infinite cyclic
 group (elements are then non-zero exponents); a syllable on an opaque one is
-rejected.
+rejected.  Their group laws are the factors of `groups.arithmetic`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .groups import GpkitError, GroupDescriptor, order_of
+from .groups import GpkitError, arithmetic
 from .labeled import LabeledGraph
 
 
@@ -72,62 +72,6 @@ class NormalWord:
 IDENTITY = NormalWord(())
 
 
-class _Factor:
-    """One vertex group on element codes, 0 being the identity: 0..order-1 for
-    finite groups, exponents for Z (order None).  Subclasses give mul and inv."""
-
-    def __init__(self, order):
-        self.order = order
-
-    def valid(self, a) -> bool:
-        return isinstance(a, int) and (self.order is None or 0 <= a < self.order)
-
-
-class _TableFactor(_Factor):
-    def __init__(self, table):
-        super().__init__(table.order)
-        self.mul = table.mul
-        self.inv = table.inv
-
-
-class _CyclicFactor(_Factor):
-    """Z/n as addition mod n, with no n x n table."""
-
-    def mul(self, a, b):
-        return (a + b) % self.order
-
-    def inv(self, a):
-        return -a % self.order
-
-
-class _IntFactor(_Factor):
-    def mul(self, a, b):
-        return a + b
-
-    def inv(self, a):
-        return -a
-
-
-class _OpaqueFactor(_Factor):
-    """A group known only by flags: any syllable on it is an error, so an
-    opaque vertex blocks only the words that touch it."""
-
-    def valid(self, *args):
-        raise GpkitError("opaque vertex groups are not computable; the word engine rejects them")
-
-    mul = inv = valid
-
-
-def _build_factor(desc: GroupDescriptor) -> _Factor:
-    if desc.kind == "Z":
-        return _IntFactor(None)
-    if desc.kind in ("Z2", "cyclic"):
-        return _CyclicFactor(order_of(desc))
-    if desc.kind == "table":
-        return _TableFactor(desc.table)
-    return _OpaqueFactor(None)
-
-
 class WordTables:
     """Per-context data by vertex declaration index; kept on the context as ctx.word_tables."""
 
@@ -135,7 +79,7 @@ class WordTables:
         g = ctx.graph
         self.names = g.vertices
         self.index = {v: i for i, v in enumerate(g.vertices)}
-        self.factors = tuple(_build_factor(d) for d in ctx.labels)
+        self.factors = tuple(arithmetic(d) for d in ctx.labels)
         # noncommuting[i]: vertices whose syllables do not commute with i's, i included
         self.noncommuting = tuple(
             tuple(j for j, u in enumerate(g.vertices) if not g.has_edge(u, v))

@@ -25,7 +25,15 @@ from gpkit.graphs import (
     induced,
     matches_complete_join_pairs,
 )
-from gpkit.groups import GroupDescriptor, MultTable, concrete_table, order_of
+from gpkit.groups import (
+    AUTOMORPHISM_ORDER_BOUND,
+    GpkitError,
+    GroupDescriptor,
+    MultTable,
+    OrderTooLarge,
+    cyclic_table,
+    order_of,
+)
 from gpkit.labeled import LabeledGraph
 from gpkit.tree import FreeProduct, TreeVertex, ball_elements, base, tree_distance
 from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, normal_form
@@ -51,25 +59,28 @@ def s3_table():
     return perm_table(itertools.permutations(range(3)))
 
 
+def dihedral_table(m: int):
+    """Symmetries of the regular m-gon (m >= 3), as permutations of its corners."""
+    return perm_table({tuple((s * i + k) % m for i in range(m)) for s in (1, -1) for k in range(m)})
+
+
 def d4_table():
     """Symmetries of the square, as permutations of its corners."""
-    rot = (1, 2, 3, 0)
-    flip = (1, 0, 3, 2)
+    return dihedral_table(4)
 
-    def compose(p, q):
-        return tuple(p[q[i]] for i in range(4))
 
-    elems = {tuple(range(4))}
-    frontier = [tuple(range(4))]
-    while frontier:
-        p = frontier.pop()
-        for g in (rot, flip):
-            q = compose(p, g)
-            if q not in elems:
-                elems.add(q)
-                frontier.append(q)
-    assert len(elems) == 8
-    return perm_table(elems)
+def q8_table():
+    """Quaternion group, as left multiplications of its eight units."""
+    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    units = [tuple(sign * x for x in b) for b in basis for sign in (1, -1)]
+
+    def mul(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    return perm_table({tuple(units.index(mul(p, q)) for q in units) for p in units})
 
 
 def direct_product_table(t1, t2):
@@ -81,6 +92,74 @@ def direct_product_table(t1, t2):
         for (a1, a2) in pairs
     ]
     return validate(rows)
+
+
+def concrete_table(desc: GroupDescriptor) -> MultTable:
+    """Multiplication table for a finite concrete descriptor."""
+    if desc.kind == "Z2":
+        return cyclic_table(2)
+    if desc.kind == "cyclic":
+        return cyclic_table(desc.modulus)
+    if desc.kind == "table":
+        return desc.table
+    raise GpkitError(f"descriptor kind {desc.kind!r} has no finite table")
+
+
+def reference_automorphisms(
+    table: MultTable, max_order: int = AUTOMORPHISM_ORDER_BOUND
+) -> list[tuple[int, ...]]:
+    """All product-preserving bijections fixing 0, as permutations of indices.
+
+    Enumeration is a backtracking search with product propagation; the element
+    order of an image must match the element order of its preimage.
+    """
+    n = table.order
+    if n > max_order:
+        raise OrderTooLarge(n, max_order)
+    orders = [table.element_order(a) for a in range(n)]
+
+    def propagate(phi: dict[int, int]):
+        # Close the partial map under products until stable; None on conflict.
+        while True:
+            new = {}
+            assigned = list(phi.items())
+            for (a, fa), (b, fb) in itertools.product(assigned, assigned):
+                c = table.mul(a, b)
+                fc = table.mul(fa, fb)
+                if c in phi:
+                    if phi[c] != fc:
+                        return None
+                elif c in new:
+                    if new[c] != fc:
+                        return None
+                else:
+                    new[c] = fc
+            if not new:
+                return phi
+            images = set(phi.values())
+            for c, fc in new.items():
+                if fc in images or orders[c] != orders[fc]:
+                    return None
+                images.add(fc)
+            phi = {**phi, **new}
+
+    results: list[tuple[int, ...]] = []
+
+    def extend(phi: dict[int, int]):
+        if len(phi) == n:
+            results.append(tuple(phi[i] for i in range(n)))
+            return
+        x = min(a for a in range(n) if a not in phi)
+        taken = set(phi.values())
+        for y in range(n):
+            if y in taken or orders[y] != orders[x]:
+                continue
+            closed = propagate({**phi, x: y})
+            if closed is not None:
+                extend(closed)
+
+    extend({0: 0})
+    return sorted(results)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +504,8 @@ def _is_factor_element(fp: FreeProduct, w: NormalWord, side: str) -> bool:
 def reference_malnormality_check(fp: FreeProduct, side: str, radius: int) -> bool:
     """The malnormality scan with every conjugate multiplied out by the word engine."""
     other = fp.other(side)
-    ta = fp.factor_table(side)
-    tb = fp.factor_table(other)
+    ta = fp.factor(side)
+    tb = fp.factor(other)
     own = [NormalWord((Syllable(side, e),)) for e in range(1, ta.order)]
     foreign = [NormalWord((Syllable(other, e),)) for e in range(1, tb.order)]
     for g in ball_elements(fp, radius):
@@ -449,7 +528,7 @@ def reference_malnormality_check(fp: FreeProduct, side: str, radius: int) -> boo
 
 def tree_neighbors(fp: FreeProduct, x: TreeVertex):
     """Neighbor cosets by definition: one per element of the side factor."""
-    table = fp.factor_table(x.side)
+    table = fp.factor(x.side)
     other = fp.other(x.side)
     out = set()
     for e in range(table.order):
@@ -506,7 +585,7 @@ NOT_WITHIN_RADIUS = "NotWithinRadius"
 
 def stabilizer_elements(fp: FreeProduct, x: TreeVertex):
     """The full point stabilizer of x inside the free product: rep * factor * rep^-1."""
-    table = fp.factor_table(x.side)
+    table = fp.factor(x.side)
     rep_inv = invert(x.rep, fp.ctx)
     out = []
     for e in range(1, table.order):
@@ -525,7 +604,7 @@ def generation_probe(fp: FreeProduct, x: TreeVertex, y: TreeVertex, radius: int)
     gens = set(stabilizer_elements(fp, x)) | set(stabilizer_elements(fp, y))
     targets = set()
     for side in fp.sides:
-        table = fp.factor_table(side)
+        table = fp.factor(side)
         targets |= {NormalWord((Syllable(side, e),)) for e in range(1, table.order)}
     seen = {IDENTITY}
     level = {IDENTITY}

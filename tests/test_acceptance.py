@@ -34,6 +34,7 @@ from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, normal
 from .helpers import (
     WordSystem,
     all_graphs,
+    concrete_table,
     equality_classes,
     fp_of,
     graph_iso_classes,
@@ -109,7 +110,7 @@ def _rand_element(fp, rng, max_len):
     prev = None
     for _ in range(rng.randint(0, max_len)):
         v = rng.choice([s for s in fp.sides if s != prev])
-        table = fp.factor_table(v)
+        table = fp.factor(v)
         sylls.append(Syllable(v, rng.randint(1, table.order - 1)))
         prev = v
     return NormalWord(tuple(sylls))
@@ -280,8 +281,6 @@ def _rand_raw_word(rng, ctx, max_len=6):
         if desc.kind == "Z":
             e = rng.choice((-3, -2, -1, 1, 2, 3))
         else:
-            from gpkit.groups import concrete_table
-
             e = rng.randint(1, concrete_table(desc).order - 1)
         sylls.append(Syllable(v, e))
     return sylls

@@ -302,6 +302,12 @@ def test_input_errors_exit_one_with_one_line(argv, error, capsys):
     assert err.startswith(f"{error}: ")
 
 
+@pytest.mark.parametrize("u, kind", [("a", "opaque"), ("b", "Z")])
+def test_wpd_names_the_kind_of_a_factor_without_a_finite_table(u, kind, capsys):
+    assert main(["tree", str(FIXTURES / "mixed.graph"), "-u", u, "-v", "c", "--wpd"]) == 1
+    assert capsys.readouterr() == ("", f"GpkitError: descriptor kind {kind!r} has no finite table\n")
+
+
 def test_internal_value_error_is_not_a_user_error(monkeypatch):
     def broken(request):
         raise ValueError("a bug, not bad input")
@@ -315,7 +321,12 @@ def test_wpd_rejects_large_factor_before_building_tables(tmp_path, monkeypatch, 
     def no_tables(n):
         raise AssertionError(f"cyclic_table({n}) built")
 
+    def no_search(table):
+        raise AssertionError("generator search started")
+
     monkeypatch.setattr(groups, "cyclic_table", no_tables)
+    for module in (groups, tree):
+        monkeypatch.setattr(module, "minimal_generating_set", no_search)
     path = tmp_path / "big.graph"
     path.write_text("vertex a Z/40000\nvertex b Z2\n")
     assert main(["tree", str(path), "-u", "a", "-v", "b", "--wpd"]) == 1

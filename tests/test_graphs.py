@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 
 from gpkit.graphs import (
+    SimplicialGraph,
     complement_degrees,
     connected_components,
     find_sil,
@@ -48,6 +49,20 @@ def test_graph_rejects_bad_edges():
         with pytest.raises(ValueError) as err:
             graph(vertices, edges)
         assert str(err.value) == message
+
+
+def test_graph_constructor_rejects_bad_masks():
+    cases = [
+        (("a", "b", "c"), (1,), "1 masks for 3 vertices"),
+        (("a", "b"), (2, 4), "mask of vertex 'b' has bits past 2 vertices"),
+        (("a", "b"), (2, -1), "mask of vertex 'b' has bits past 2 vertices"),
+        (("a", "b"), (3, 1), "vertex 'a' is adjacent to itself"),
+    ]
+    for vertices, masks, message in cases:
+        with pytest.raises(ValueError) as err:
+            SimplicialGraph(vertices, masks)
+        assert str(err.value) == message
+    assert SimplicialGraph(("a", "b"), (2, 1)) == graph("ab", ["ab"])
 
 
 def test_join_decompose_path():

@@ -1,7 +1,10 @@
 import itertools
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from gpkit.cli import parse_table_file
 from gpkit.groups import (
     FINITE_QUOTIENT_FLAGS,
     NO,
@@ -11,8 +14,8 @@ from gpkit.groups import (
     NotAGroup,
     OrderTooLarge,
     QuotientFlags,
+    arithmetic,
     automorphisms,
-    concrete_table,
     cyclic,
     cyclic_table,
     identity_perm,
@@ -29,7 +32,20 @@ from gpkit.groups import (
     z2,
 )
 
-from .helpers import center, central_quotient, d4_table, direct_product_table, s3_table
+from .helpers import (
+    center,
+    central_quotient,
+    concrete_table,
+    d4_table,
+    dihedral_table,
+    direct_product_table,
+    perm_table,
+    q8_table,
+    reference_automorphisms,
+    s3_table,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_validate_z2():
@@ -129,6 +145,51 @@ def test_automorphism_bound():
     with pytest.raises(OrderTooLarge):
         automorphisms(cyclic_table(13))
     assert len(automorphisms(cyclic_table(13), max_order=13)) == 12
+
+
+def _reference_groups():
+    """The tables the suite builds, and Z/n, dihedral groups, Q8 and direct
+    products up to order 48."""
+    c2, s3, d4, q8 = cyclic_table(2), s3_table(), d4_table(), q8_table()
+    v4 = direct_product_table(c2, c2)
+    groups = {f"Z/{n}": cyclic_table(n) for n in range(1, 49)}
+    groups |= {f"D{2 * m}": dihedral_table(m) for m in (3, 4, 5, 6, 8, 12, 16, 24)}
+    groups |= {
+        "S3": s3, "s3.tbl": parse_table_file((FIXTURES / "s3.tbl").read_text()),
+        "Q8": q8, "D8/Z": central_quotient(d4), "Z2xZ2": v4,
+        "Z2xZ2xZ2": direct_product_table(v4, c2),
+        "Z2xZ4": direct_product_table(c2, cyclic_table(4)),
+        "Z2xS3": direct_product_table(c2, s3), "Z3xS3": direct_product_table(cyclic_table(3), s3),
+        "S3xS3": direct_product_table(s3, s3), "Z2xD8": direct_product_table(c2, d4),
+        "Z2xQ8": direct_product_table(c2, q8),
+        "Z2xS4": direct_product_table(c2, perm_table(itertools.permutations(range(4)))),
+    }
+    return groups
+
+
+def test_automorphisms_match_reference():
+    groups = _reference_groups()
+    expected = {name: reference_automorphisms(t, max_order=48) for name, t in groups.items()}
+    for name, t in groups.items():
+        assert automorphisms(t, max_order=48) == expected[name], name
+    for n in range(2, 49):  # Z/n on the word engine's factor, which has no table
+        assert automorphisms(arithmetic(cyclic(n)), max_order=48) == expected[f"Z/{n}"], n
+
+
+def test_automorphism_search_tries_only_images_of_matching_order():
+    # 1 generates Z/48 and only the 16 units share its order; each is walked
+    # once over the 48 elements, two products a step.
+    f = arithmetic(cyclic(48))
+    products = 0
+
+    def mul(a, b):
+        nonlocal products
+        products += 1
+        return f.mul(a, b)
+
+    counting = SimpleNamespace(order=48, mul=mul, element_order=f.element_order)
+    assert len(automorphisms(counting, max_order=48)) == 16
+    assert products <= 2 * 48 * 16
 
 
 def test_subgroup_closure_and_minimal_generators(s3):

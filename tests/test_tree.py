@@ -48,7 +48,7 @@ def rand_vertex(fp, rng, max_rep=5):
     for _ in range(rng.randint(0, max_rep)):
         choices = [v for v in fp.sides if v != prev]
         v = rng.choice(choices)
-        table = fp.factor_table(v)
+        table = fp.factor(v)
         sylls.append(Syllable(v, rng.randint(1, table.order - 1)))
         prev = v
     if sylls and sylls[-1].vertex == side:
@@ -62,10 +62,19 @@ def rand_element(fp, rng, max_len=6):
     for _ in range(rng.randint(0, max_len)):
         choices = [v for v in fp.sides if v != prev]
         v = rng.choice(choices)
-        table = fp.factor_table(v)
+        table = fp.factor(v)
         sylls.append(Syllable(v, rng.randint(1, table.order - 1)))
         prev = v
     return NormalWord(tuple(sylls))
+
+
+def test_factor_is_the_word_engine_factor():
+    s3 = s3_table()
+    fp = fp_of(table_group(s3), cyclic(4))
+    for i, side in enumerate(fp.sides):
+        assert fp.factor(side) is fp.ctx.word_tables.factors[i]
+    assert fp.factor("a") is s3
+    assert not hasattr(fp.factor("b"), "product")  # Z/4 computes mod 4, with no table
 
 
 def test_free_product_requires_non_adjacent_pair():
@@ -186,7 +195,7 @@ def test_bipartite_parity():
 
 
 def test_act_auto_examples():
-    inv3 = automorphisms(FP23.factor_table("b"))[1]
+    inv3 = automorphisms(FP23.factor("b"))[1]
     id2 = identity_perm(2)
     x = vertex_of(FP23, word_of(FP23.ctx, ("a", 1), ("b", 1)), "a")
     assert act_auto(FP23, id2, identity_perm(3), x) == x
@@ -199,7 +208,7 @@ def test_act_auto_composes():
     s3 = s3_table()
     fp = fp_of(table_group(s3), cyclic(3))
     auts_a = automorphisms(s3)
-    auts_b = automorphisms(fp.factor_table("b"))
+    auts_b = automorphisms(fp.factor("b"))
     rng = random.Random(13)
     for _ in range(60):
         a1, a2 = rng.choice(auts_a), rng.choice(auts_a)

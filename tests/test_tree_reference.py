@@ -51,7 +51,7 @@ def _fp(pair):
 
 def _alternating(fp, rng, max_len):
     """A random alternating word as (side index, element) letters."""
-    orders = [fp.factor_table(side).order for side in fp.sides]
+    orders = [fp.factor(side).order for side in fp.sides]
     out = []
     for _ in range(rng.randint(0, max_len)):
         s = rng.choice([s for s in (0, 1) if not out or out[-1][0] != s])
@@ -62,7 +62,7 @@ def _alternating(fp, rng, max_len):
 def _raw(fp, rng, max_len):
     """Any syllable sequence over the two sides, identity syllables included."""
     return NormalWord(tuple(
-        Syllable(side, rng.randrange(fp.factor_table(side).order))
+        Syllable(side, rng.randrange(fp.factor(side).order))
         for side in (rng.choice(fp.sides) for _ in range(rng.randint(0, max_len)))
     ))
 
@@ -83,7 +83,7 @@ def test_seam_product_matches_multiply(pair):
 @pytest.mark.parametrize("pair", PAIRS, ids="*".join)
 def test_tree_functions_match_reference(pair):
     fp = _fp(pair)
-    auts = [automorphisms(fp.factor_table(side)) for side in fp.sides]
+    auts = [automorphisms(fp.factor(side)) for side in fp.sides]
     rng = random.Random(f"tree-{pair}")
     for _ in range(200):
         g = tree._word(fp, _alternating(fp, rng, 6))
