@@ -110,13 +110,11 @@ class ClassificationReport:
 
 
 def _flag_for(flags, prop: str) -> str:
-    if prop == SQ_UNIVERSAL:
-        return flags.sq_universal
-    if prop == MANY_QUASIMORPHISMS:
-        return flags.many_quasimorphisms
-    if prop == NOT_BOUNDEDLY_GENERATED:
-        return tri_not(flags.boundedly_generated)
-    raise ValueError(f"unknown property {prop!r}")
+    return {
+        SQ_UNIVERSAL: flags.sq_universal,
+        MANY_QUASIMORPHISMS: flags.many_quasimorphisms,
+        NOT_BOUNDEDLY_GENERATED: tri_not(flags.boundedly_generated),
+    }[prop]
 
 
 def classify_T(ctx: LabeledGraph) -> Verdict:

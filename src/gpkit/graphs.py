@@ -10,6 +10,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+from .groups import GpkitError
+
 
 @dataclass(frozen=True)
 class SimplicialGraph:
@@ -38,15 +40,15 @@ class SimplicialGraph:
     def __post_init__(self):
         order = {v: i for i, v in enumerate(self.vertices)}
         if len(order) != len(self.vertices):
-            raise ValueError("duplicate vertex ids")
+            raise GpkitError("duplicate vertex ids")
         n = len(self.vertices)
         if len(self.masks) != n:
-            raise ValueError(f"{len(self.masks)} masks for {n} vertices")
+            raise GpkitError(f"{len(self.masks)} masks for {n} vertices")
         for i, m in enumerate(self.masks):
             if not 0 <= m < 1 << n:
-                raise ValueError(f"mask of vertex {self.vertices[i]!r} has bits past {n} vertices")
+                raise GpkitError(f"mask of vertex {self.vertices[i]!r} has bits past {n} vertices")
             if m >> i & 1:
-                raise ValueError(f"vertex {self.vertices[i]!r} is adjacent to itself")
+                raise GpkitError(f"vertex {self.vertices[i]!r} is adjacent to itself")
         object.__setattr__(self, "_order", order)
 
     def __contains__(self, v) -> bool:
@@ -81,11 +83,11 @@ def graph(vertices, edges=()) -> SimplicialGraph:
     masks = [0] * len(vs)
     for e in map(set, edges):
         if len(e) != 2:
-            raise ValueError(f"edge {sorted(e)} must join two distinct vertices")
+            raise GpkitError(f"edge {sorted(e)} must join two distinct vertices")
         u, w = e
         i, j = order.get(u), order.get(w)
         if i is None or j is None:
-            raise ValueError(f"edge {sorted(e)} references undeclared vertices")
+            raise GpkitError(f"edge {sorted(e)} references undeclared vertices")
         masks[i] |= 1 << j
         masks[j] |= 1 << i
     return SimplicialGraph(vs, tuple(masks))

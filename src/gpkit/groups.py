@@ -151,7 +151,7 @@ def validate(rows) -> MultTable:
 def cyclic_table(n: int) -> MultTable:
     """Addition table of the cyclic group of order n."""
     if n < 1:
-        raise ValueError("order must be positive")
+        raise GpkitError("order must be positive")
     return MultTable(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
@@ -215,30 +215,26 @@ def identity_perm(n: int) -> tuple[int, ...]:
 
 
 def subgroup_closure(table: MultTable, gens) -> frozenset[int]:
-    """Subgroup generated by the given element indices."""
-    seen = {0} | set(gens)
-    frontier = list(seen)
-    while frontier:
-        a = frontier.pop()
-        for b in list(seen):
-            for c in (table.mul(a, b), table.mul(b, a)):
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
+    """Subgroup generated by the given element indices: the vertices of the
+    Cayley graph reached from the identity by multiplying on the right by each
+    generator.  In a finite group that set is closed under products."""
+    seen = {0}
+    walk = [0]
+    for a in walk:
+        for g in gens:
+            c = table.mul(a, g)
+            if c not in seen:
+                seen.add(c)
+                walk.append(c)
     return frozenset(seen)
 
 
 def minimal_generating_set(table: MultTable) -> tuple[int, ...]:
     """Smallest generating set, first in lexicographic order among those of
-    minimal size."""
+    minimal size; the non-identity elements together always generate."""
     n = table.order
-    if n == 1:
-        return ()
-    for size in range(1, n):
-        for combo in itertools.combinations(range(1, n), size):
-            if len(subgroup_closure(table, combo)) == n:
-                return combo
-    raise AssertionError("unreachable: the full element set generates")
+    return next(combo for size in range(n) for combo in itertools.combinations(range(1, n), size)
+                if len(subgroup_closure(table, combo)) == n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +254,7 @@ class QuotientFlags:
         for f in (self.kazhdan_t, self.sq_universal,
                   self.many_quasimorphisms, self.boundedly_generated):
             if f not in TRI_STATES:
-                raise ValueError(f"flag value {f!r} not in {TRI_STATES}")
+                raise GpkitError(f"flag value {f!r} not in {TRI_STATES}")
 
 
 # Any finite group: the central quotient is finite, hence has property (T), is
@@ -285,7 +281,7 @@ class GroupDescriptor:
 
     def __post_init__(self):
         if self.kind == "cyclic" and (self.modulus is None or self.modulus < 2):
-            raise ValueError("cyclic descriptors need modulus >= 2")
+            raise GpkitError("cyclic descriptors need modulus >= 2")
         if self.kind == "table" and (self.table is None or self.table.order < 2):
             raise GpkitError("table descriptors must be non-trivial groups")
 

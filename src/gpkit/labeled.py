@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import SimplicialGraph
-from .groups import GroupDescriptor
+from .groups import GpkitError, GroupDescriptor
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,9 @@ class LabeledGraph:
 
     def __post_init__(self):
         if not self.graph.vertices:
-            raise ValueError("labeled graphs must have at least one vertex")
+            raise GpkitError("labeled graphs must have at least one vertex")
         if len(self.labels) != len(self.graph.vertices):
-            raise ValueError("one descriptor per vertex required")
+            raise GpkitError("one descriptor per vertex required")
 
     def label(self, v: str) -> GroupDescriptor:
         return self.labels[self.graph.index(v)]

@@ -80,17 +80,13 @@ class FreeProduct:
 
     def __post_init__(self):
         if len(self.ctx.graph.vertices) != 2:
-            raise ValueError("a free product context has exactly two vertices")
+            raise GpkitError("a free product context has exactly two vertices")
         if self.ctx.graph.has_edge(*self.ctx.graph.vertices):
-            raise ValueError("the two vertices must be non-adjacent")
+            raise GpkitError("the two vertices must be non-adjacent")
 
     @property
     def sides(self) -> tuple[str, str]:
         return self.ctx.graph.vertices
-
-    def other(self, side: str) -> str:
-        a, b = self.sides
-        return b if side == a else a
 
     def factor(self, side: str):
         """The word engine's factor for `side`; GpkitError unless it is finite."""
@@ -126,13 +122,6 @@ class TreeVertex:
 
     side: str
     rep: NormalWord
-
-    def sort_key(self, fp: FreeProduct):
-        return (
-            fp.sides.index(self.side),
-            len(self.rep),
-            tuple((fp.ctx.graph.index(s.vertex), s.element) for s in self.rep.syllables),
-        )
 
 
 @dataclass(frozen=True)
@@ -441,7 +430,13 @@ def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate
     only the identity automorphism pair fixes the four axis vertices.
 
     Generator lists default to the minimal generating sets of the factors and
-    are padded to equal length by cycling the shorter list.
+    are padded to equal length by cycling the shorter list.  The element g
+    alternates, starts on the first side and ends on the second, so it is
+    cyclically reduced and translates by its length along an axis through both
+    base vertices; those and their translates by g are the four vertices.
+    act_auto maps letters one by one, so (alpha, beta) fixes a vertex exactly
+    when (alpha, id) and (id, beta) both do, and the stabilizer is found one
+    factor at a time.
     """
     side_a, side_b = fp.sides
     ta = fp.factor(side_a)
@@ -461,35 +456,16 @@ def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate
         if len(subgroup_closure(table, gens)) != table.order:
             raise NotGenerating(side)
     n = max(len(gens_a), len(gens_b))
-    gens_a = [gens_a[i % len(gens_a)] for i in range(n)]
-    gens_b = [gens_b[i % len(gens_b)] for i in range(n)]
-    sylls = []
-    for s, r in zip(gens_a, gens_b):
-        sylls.append(Syllable(side_a, s))
-        sylls.append(Syllable(side_b, r))
-    g = NormalWord(tuple(sylls))  # alternating, identity-free: already normal
-
-    axis = translation_data(fp, g)
-    four = (
-        base(fp, side_a),
-        base(fp, side_b),
-        act(fp, g, base(fp, side_a)),
-        act(fp, g, base(fp, side_b)),
-    )
-    if axis.translation_length == 0:
-        raise AssertionError("alternating generator word cannot be elliptic")
-    for x in four:
-        if tree_distance(fp, x, act(fp, g, x)) != axis.translation_length:
-            raise AssertionError("expected vertex off the axis; construction broken")
-
-    survivors = []
-    for alpha, beta in itertools.product(auts_a, auts_b):
-        if all(act_auto(fp, alpha, beta, x) == x for x in four):
-            survivors.append((alpha, beta))
+    g = tuple(letter for i in range(n)
+              for letter in ((0, gens_a[i % len(gens_a)]), (1, gens_b[i % len(gens_b)])))
+    four = (base(fp, side_a), base(fp, side_b), _vertex(fp, g, side_a), _vertex(fp, g, side_b))
+    id_a, id_b = identity_perm(ta.order), identity_perm(tb.order)
+    fix_a = [alpha for alpha in auts_a if all(act_auto(fp, alpha, id_b, x) == x for x in four)]
+    fix_b = [beta for beta in auts_b if all(act_auto(fp, id_a, beta, x) == x for x in four)]
     return WpdCertificate(
-        g=g,
-        translation_length=axis.translation_length,
+        g=_word(fp, g),
+        translation_length=len(g),
         axis_vertices=four,
         stabilizer_pairs_checked=len(auts_a) * len(auts_b),
-        survivors=tuple(survivors),
+        survivors=tuple(itertools.product(fix_a, fix_b)),
     )

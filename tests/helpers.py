@@ -31,12 +31,26 @@ from gpkit.groups import (
     GroupDescriptor,
     MultTable,
     OrderTooLarge,
+    automorphisms,
     cyclic_table,
+    minimal_generating_set,
     order_of,
 )
 from gpkit.labeled import LabeledGraph
-from gpkit.tree import FreeProduct, TreeVertex, ball_elements, base, tree_distance
-from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, normal_form
+from gpkit.tree import (
+    FreeProduct,
+    IdentityGenerator,
+    NotGenerating,
+    TreeVertex,
+    WpdCertificate,
+    act,
+    act_auto,
+    ball_elements,
+    base,
+    translation_data,
+    tree_distance,
+)
+from gpkit.words import IDENTITY, BadSyllable, NormalWord, Syllable, invert, multiply, normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +117,21 @@ def concrete_table(desc: GroupDescriptor) -> MultTable:
     if desc.kind == "table":
         return desc.table
     raise GpkitError(f"descriptor kind {desc.kind!r} has no finite table")
+
+
+def reference_subgroup_closure(table: MultTable, gens) -> frozenset[int]:
+    """Subgroup generated by the given element indices, closing under every
+    product of a new element with each one seen, on both sides."""
+    seen = {0} | set(gens)
+    frontier = list(seen)
+    while frontier:
+        a = frontier.pop()
+        for b in list(seen):
+            for c in (table.mul(a, b), table.mul(b, a)):
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
+    return frozenset(seen)
 
 
 def reference_automorphisms(
@@ -481,6 +510,75 @@ def reference_tree_distance(fp: FreeProduct, x: TreeVertex, y: TreeVertex) -> in
     return k + (0 if target.rep.syllables[0].vertex == x.side else 1)
 
 
+def other_side(fp: FreeProduct, side: str) -> str:
+    a, b = fp.sides
+    return b if side == a else a
+
+
+def vertex_sort_key(fp: FreeProduct, x: TreeVertex):
+    return (
+        fp.sides.index(x.side),
+        len(x.rep),
+        tuple((fp.ctx.graph.index(s.vertex), s.element) for s in x.rep.syllables),
+    )
+
+
+def reference_wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate:
+    """tree.wpd_certificate through the public NormalWord API: the translation
+    length from translation_data, a run-time check that the four vertices lie
+    on the axis, and the stabilizer by trying every automorphism pair."""
+    side_a, side_b = fp.sides
+    ta = fp.factor(side_a)
+    tb = fp.factor(side_b)
+    auts_a = automorphisms(ta)
+    auts_b = automorphisms(tb)
+    gens_a = list(gens_a) if gens_a is not None else list(minimal_generating_set(ta))
+    gens_b = list(gens_b) if gens_b is not None else list(minimal_generating_set(tb))
+    for side, gens, table in ((side_a, gens_a, ta), (side_b, gens_b, tb)):
+        if not gens:
+            raise NotGenerating(side)
+        if 0 in gens:
+            raise IdentityGenerator(f"identity listed as a generator for vertex {side!r}")
+        bad = next((e for e in gens if not 0 < e < table.order), None)
+        if bad is not None:
+            raise BadSyllable(side, bad, "generator outside the vertex group")
+        if len(reference_subgroup_closure(table, gens)) != table.order:
+            raise NotGenerating(side)
+    n = max(len(gens_a), len(gens_b))
+    gens_a = [gens_a[i % len(gens_a)] for i in range(n)]
+    gens_b = [gens_b[i % len(gens_b)] for i in range(n)]
+    sylls = []
+    for s, r in zip(gens_a, gens_b):
+        sylls.append(Syllable(side_a, s))
+        sylls.append(Syllable(side_b, r))
+    g = NormalWord(tuple(sylls))  # alternating, identity-free: already normal
+
+    axis = translation_data(fp, g)
+    four = (
+        base(fp, side_a),
+        base(fp, side_b),
+        act(fp, g, base(fp, side_a)),
+        act(fp, g, base(fp, side_b)),
+    )
+    if axis.translation_length == 0:
+        raise AssertionError("alternating generator word cannot be elliptic")
+    for x in four:
+        if tree_distance(fp, x, act(fp, g, x)) != axis.translation_length:
+            raise AssertionError("expected vertex off the axis; construction broken")
+
+    survivors = []
+    for alpha, beta in itertools.product(auts_a, auts_b):
+        if all(act_auto(fp, alpha, beta, x) == x for x in four):
+            survivors.append((alpha, beta))
+    return WpdCertificate(
+        g=g,
+        translation_length=axis.translation_length,
+        axis_vertices=four,
+        stabilizer_pairs_checked=len(auts_a) * len(auts_b),
+        survivors=tuple(survivors),
+    )
+
+
 def reference_scan_work(orders, radius: int, bound: int) -> tuple[int, int, bool]:
     """tree._scan_work counted level by level at every radius, against `bound`."""
     p, q = orders[0] - 1, orders[1] - 1
@@ -503,7 +601,7 @@ def _is_factor_element(fp: FreeProduct, w: NormalWord, side: str) -> bool:
 
 def reference_malnormality_check(fp: FreeProduct, side: str, radius: int) -> bool:
     """The malnormality scan with every conjugate multiplied out by the word engine."""
-    other = fp.other(side)
+    other = other_side(fp, side)
     ta = fp.factor(side)
     tb = fp.factor(other)
     own = [NormalWord((Syllable(side, e),)) for e in range(1, ta.order)]
@@ -529,7 +627,7 @@ def reference_malnormality_check(fp: FreeProduct, side: str, radius: int) -> boo
 def tree_neighbors(fp: FreeProduct, x: TreeVertex):
     """Neighbor cosets by definition: one per element of the side factor."""
     table = fp.factor(x.side)
-    other = fp.other(x.side)
+    other = other_side(fp, x.side)
     out = set()
     for e in range(table.order):
         w = multiply(x.rep, NormalWord((Syllable(x.side, e),)), fp.ctx)
@@ -572,7 +670,7 @@ def tree_ball(fp: FreeProduct, radius: int, center: TreeVertex | None = None):
             x = TreeVertex(side, w)
             if reference_tree_distance(fp, center, x) <= radius:
                 out.append(x)
-    out.sort(key=lambda x: x.sort_key(fp))
+    out.sort(key=lambda x: vertex_sort_key(fp, x))
     return out
 
 

@@ -17,6 +17,7 @@ from gpkit.graphs import (
     join_pairs_partition,
     matches_complete_join_pairs,
 )
+from gpkit.groups import GpkitError
 
 from .conftest import graphs_st
 from .helpers import (
@@ -46,7 +47,7 @@ def test_graph_rejects_bad_edges():
         (("a", "b", "a"), [("a", "b")], "duplicate vertex ids"),
     ]
     for vertices, edges, message in cases:
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(GpkitError) as err:
             graph(vertices, edges)
         assert str(err.value) == message
 
@@ -59,7 +60,7 @@ def test_graph_constructor_rejects_bad_masks():
         (("a", "b"), (3, 1), "vertex 'a' is adjacent to itself"),
     ]
     for vertices, masks, message in cases:
-        with pytest.raises(ValueError) as err:
+        with pytest.raises(GpkitError) as err:
             SimplicialGraph(vertices, masks)
         assert str(err.value) == message
     assert SimplicialGraph(("a", "b"), (2, 1)) == graph("ab", ["ab"])

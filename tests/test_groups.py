@@ -1,15 +1,20 @@
+import ast
+import importlib
 import itertools
+import random
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import gpkit
 from gpkit.cli import parse_table_file
 from gpkit.groups import (
     FINITE_QUOTIENT_FLAGS,
     NO,
     UNKNOWN,
     YES,
+    GpkitError,
     GroupDescriptor,
     NotAGroup,
     OrderTooLarge,
@@ -42,6 +47,7 @@ from .helpers import (
     perm_table,
     q8_table,
     reference_automorphisms,
+    reference_subgroup_closure,
     s3_table,
 )
 
@@ -200,10 +206,33 @@ def test_subgroup_closure_and_minimal_generators(s3):
     assert subgroup_closure(s3, gens) == frozenset(range(6))
 
 
+def test_subgroup_closure_matches_reference():
+    rng = random.Random(31)
+    for name, t in _reference_groups().items():
+        for _ in range(4):
+            gens = rng.sample(range(t.order), rng.randint(0, min(3, t.order)))
+            assert subgroup_closure(t, gens) == reference_subgroup_closure(t, gens), (name, gens)
+
+
+def test_subgroup_closure_walks_the_cayley_graph_once():
+    # one product per element reached and generator; closing under every
+    # product of a new element with each one seen took 4,170
+    f = arithmetic(cyclic(48))
+    products = 0
+
+    def mul(a, b):
+        nonlocal products
+        products += 1
+        return f.mul(a, b)
+
+    assert subgroup_closure(SimpleNamespace(mul=mul), [1]) == frozenset(range(48))
+    assert products <= 48
+
+
 def test_descriptor_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GpkitError):
         cyclic(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(GpkitError):
         GroupDescriptor("table", table=validate([[0]]))
 
 
@@ -221,7 +250,7 @@ def test_descriptor_queries(s3):
     assert is_z2(opaque(QuotientFlags())) == UNKNOWN
     assert concrete_table(cyclic(4)) == cyclic_table(4)
     assert concrete_table(table_group(s3)) == s3
-    with pytest.raises(ValueError):
+    with pytest.raises(GpkitError):
         concrete_table(infinite_cyclic())
 
 
@@ -236,5 +265,28 @@ def test_quotient_flags():
 
 
 def test_flag_values_checked():
-    with pytest.raises(ValueError):
+    with pytest.raises(GpkitError):
         QuotientFlags(kazhdan_t="maybe")
+
+
+def test_every_raise_in_src_names_a_gpkit_error():
+    """Bad input ends in a GpkitError.  The two other channels are argparse's
+    ArgumentTypeError (exit status 2) and SystemExit in the cli."""
+    src = Path(gpkit.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        name = "gpkit" if path.stem == "__init__" else f"gpkit.{path.stem}"
+        module = importlib.import_module(name)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            assert node.exc is not None, f"{where}: bare raise"
+            raised = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            if raised == "argparse.ArgumentTypeError":
+                continue
+            if name == "gpkit.cli" and raised == "SystemExit":
+                continue
+            exc = module
+            for part in raised.split("."):
+                exc = getattr(exc, part)
+            assert isinstance(exc, type) and issubclass(exc, GpkitError), f"{where}: raise {raised}"

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+import gpkit.tree as tree
 from gpkit import cyclic, graph, table_group, z2
-from gpkit.groups import automorphisms, identity_perm
+from gpkit.groups import GpkitError, automorphisms, cyclic_table, identity_perm
 from gpkit.labeled import LabeledGraph
 from gpkit.tree import (
     FreeProduct,
@@ -29,8 +30,13 @@ from .helpers import (
     NOT_WITHIN_RADIUS,
     adjacent,
     bfs_distances,
+    d4_table,
+    direct_product_table,
     fp_of,
     generation_probe,
+    q8_table,
+    reference_subgroup_closure,
+    reference_wpd_certificate,
     s3_table,
     tree_ball,
     tree_neighbors,
@@ -81,11 +87,11 @@ def test_free_product_requires_non_adjacent_pair():
     ctx = LabeledGraph(graph("abc", ["ab"]), (z2(), z2(), cyclic(3)))
     fp = free_product(ctx, "a", "c")
     assert fp.sides == ("a", "c")
-    with pytest.raises(ValueError):
+    with pytest.raises(GpkitError):
         free_product(ctx, "a", "b")
-    with pytest.raises(ValueError):
+    with pytest.raises(GpkitError):
         free_product(ctx, "a", "a")
-    with pytest.raises(ValueError):
+    with pytest.raises(GpkitError):
         FreeProduct(LabeledGraph(graph("ab", ["ab"]), (z2(), z2())))
 
 
@@ -325,6 +331,68 @@ def test_wpd_generator_validation():
         wpd_certificate(fp, [2], [1])
     with pytest.raises(NotGenerating):
         wpd_certificate(fp, [], [1])
+
+
+CERT_FACTORS = {
+    "Z2": z2(), "Z3": cyclic(3), "Z4": cyclic(4), "Z6": cyclic(6),
+    "S3": table_group(s3_table()), "D4": table_group(d4_table()),
+}
+
+
+def _random_generators(table, rng):
+    """A random generating list of non-identity elements, repeats allowed."""
+    while True:
+        gens = [rng.randrange(1, table.order) for _ in range(rng.randint(1, 4))]
+        if len(reference_subgroup_closure(table, gens)) == table.order:
+            return gens
+
+
+@pytest.mark.parametrize("pair", list(itertools.combinations_with_replacement(CERT_FACTORS, 2)),
+                         ids="*".join)
+def test_wpd_certificate_matches_reference(pair):
+    fp = fp_of(*(CERT_FACTORS[name] for name in pair))
+    assert wpd_certificate(fp) == reference_wpd_certificate(fp)
+    rng = random.Random(29)
+    gens = [_random_generators(fp.factor(side), rng) for side in fp.sides]
+    assert wpd_certificate(fp, *gens) == reference_wpd_certificate(fp, *gens)
+
+
+def test_wpd_certificate_matches_reference_on_larger_automorphism_groups():
+    v4 = direct_product_table(cyclic_table(2), cyclic_table(2))
+    z2_cubed = table_group(direct_product_table(v4, cyclic_table(2)))  # |Aut| = 168
+    for fp in (fp_of(table_group(q8_table()), table_group(d4_table())), fp_of(z2_cubed, z2_cubed)):
+        assert wpd_certificate(fp) == reference_wpd_certificate(fp)
+
+
+def test_wpd_certificate_decides_the_stabilizer_one_factor_at_a_time(monkeypatch):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return act_auto(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the certificate re-derived the axis")
+
+    monkeypatch.setattr(tree, "act_auto", counting)
+    for name in ("translation_data", "act", "tree_distance"):
+        monkeypatch.setattr(tree, name, forbidden)
+    cert = wpd_certificate(fp_of(table_group(d4_table()), table_group(d4_table())))
+    assert cert.valid
+    assert cert.stabilizer_pairs_checked == 64
+    assert calls <= 4 * (8 + 8)  # trying every pair took 256
+
+
+def test_act_auto_fixes_a_vertex_exactly_when_each_factor_part_does():
+    d4, s3 = d4_table(), s3_table()
+    fp = fp_of(table_group(d4), table_group(s3))
+    id_a, id_b = identity_perm(d4.order), identity_perm(s3.order)
+    ball = tree_ball(fp, 2)
+    for alpha, beta in itertools.product(automorphisms(d4), automorphisms(s3)):
+        for x in ball:
+            fixed = act_auto(fp, alpha, beta, x) == x
+            assert fixed == (act_auto(fp, alpha, id_b, x) == x and act_auto(fp, id_a, beta, x) == x)
 
 
 def test_malnormality_examples():
