@@ -50,7 +50,10 @@ _FLAG_KEYS = {"T": "kazhdan_t", "SQ": "sq_universal",
               "QH": "many_quasimorphisms", "BG": "boundedly_generated"}
 
 
-def _parse_descriptor(tok: str, base_dir: Path, line_no: int) -> groups.GroupDescriptor:
+def _parse_descriptor(tok: str, base_dir: Path, line_no: int,
+                      tables: dict[str, groups.GroupDescriptor]) -> groups.GroupDescriptor:
+    """One vertex descriptor; `tables` maps each table path read so far in this
+    graph file to its descriptor, so each file is read and validated once."""
     if tok == "Z2":
         return groups.z2()
     if tok == "Z":
@@ -65,12 +68,13 @@ def _parse_descriptor(tok: str, base_dir: Path, line_no: int) -> groups.GroupDes
         return groups.cyclic(n)
     if tok.startswith("table:"):
         rel = tok[len("table:"):]
-        path = base_dir / rel
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ParseError(line_no, f"cannot read table file {rel!r}: {exc}") from None
-        return groups.table_group(parse_table_file(text), source=rel)
+        if rel not in tables:
+            try:
+                text = (base_dir / rel).read_text()
+            except OSError as exc:
+                raise ParseError(line_no, f"cannot read table file {rel!r}: {exc}") from None
+            tables[rel] = groups.table_group(parse_table_file(text), source=rel)
+        return tables[rel]
     m = re.fullmatch(r"opaque\{([^}]*)\}", tok)
     if m:
         values = {}
@@ -115,6 +119,7 @@ def parse_graph_file(text: str, base_dir: str | Path = ".") -> LabeledGraph:
     order: dict[str, int] = {}
     labels: list[groups.GroupDescriptor] = []
     masks: list[int] = []
+    tables: dict[str, groups.GroupDescriptor] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -126,7 +131,7 @@ def parse_graph_file(text: str, base_dir: str | Path = ".") -> LabeledGraph:
             _, vid, desc_tok = parts
             if vid in order:
                 raise DuplicateVertex(line_no, f"vertex {vid!r} declared twice")
-            labels.append(_parse_descriptor(desc_tok, base_dir, line_no))
+            labels.append(_parse_descriptor(desc_tok, base_dir, line_no, tables))
             order[vid] = len(masks)
             masks.append(0)
         elif parts[0] == "edge":

@@ -179,17 +179,22 @@ def join_pairs_partition(g: SimplicialGraph):
     return tuple(blocks)
 
 
+def _reach(masks, vs: int) -> int:
+    """Bitmask of the vertices adjacent to some vertex of the set `vs`."""
+    reach = 0
+    while vs:
+        low = vs & -vs
+        reach |= masks[low.bit_length() - 1]
+        vs ^= low
+    return reach
+
+
 def _flood(masks, seed: int, allowed: int) -> int:
     """Bitmask of the vertices joined to the vertex set `seed` by paths inside
     `allowed` (seed a subset of allowed): the union of their components there."""
     comp = frontier = seed
     while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & allowed & ~comp
+        frontier = _reach(masks, frontier) & allowed & ~comp
         comp |= frontier
     return comp
 
@@ -203,13 +208,24 @@ def _names(g: SimplicialGraph, mask: int) -> frozenset[str]:
     return frozenset(names)
 
 
-def _components(masks):
-    """Bitmasks of the components, by smallest vertex index."""
-    rest = (1 << len(masks)) - 1
+def _split(masks, rest: int):
+    """Bitmasks of the components of the subgraph induced on `rest`, by
+    smallest vertex index."""
     while rest:
         comp = _flood(masks, rest & -rest, rest)
         rest &= ~comp
         yield comp
+
+
+def _components(masks):
+    """Bitmasks of the components, by smallest vertex index."""
+    yield from _split(masks, (1 << len(masks)) - 1)
+
+
+def _star_components(masks, i: int):
+    """Bitmasks of the components of G - N[i], the graph minus vertex i and
+    its link, by smallest vertex index."""
+    yield from _split(masks, (1 << len(masks)) - 1 & ~masks[i] & ~(1 << i))
 
 
 def connected_components(g: SimplicialGraph) -> list[frozenset[str]]:
@@ -247,6 +263,10 @@ def find_sil(g: SimplicialGraph):
     vertex) of two vertices at distance >= 2 whose common-link removal leaves a
     component avoiding both, or None.
 
+    Lemma: for non-adjacent u, v those components are the components K of
+    G - N[u] with v outside K and N(K) inside lk v, so one flood per component
+    of G - N[u] serves every v (Berry, Bordat and Cogis, IJFCS 11(3), 2000).
+
     >>> find_sil(graph("uvw")).component
     frozenset({'w'})
     >>> find_sil(graph("abc", ["ab", "bc"])) is None
@@ -254,19 +274,24 @@ def find_sil(g: SimplicialGraph):
     """
     masks = g.masks
     every = (1 << len(masks)) - 1
-    # with no common neighbour, the pair splits the graph as its components do
-    whole = {i: c for c in _components(masks) for i in range(len(masks)) if c >> i & 1}
     for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if mi >> j & 1:
-                continue
-            cut = mi & masks[j]
-            rest = every & ~cut
-            side = _flood(masks, 1 << i | 1 << j, rest) if cut else whole[i] | whole[j]
-            other = rest & ~side
-            if other:
-                comp = _flood(masks, other & -other, rest)
-                return SilWitness(g.vertices[i], g.vertices[j], _names(g, comp))
+        later = every & ~mi & ~((2 << i) - 1)  # non-neighbours declared after i
+        if not later:
+            continue
+        witness = None
+        for comp in _star_components(masks, i):
+            cands = later & ~comp
+            sep = _reach(masks, comp) & ~comp if cands else 0  # N(K), inside lk i
+            while sep and cands:
+                low = sep & -sep
+                cands &= masks[low.bit_length() - 1]
+                sep ^= low
+            if cands:
+                j = (cands & -cands).bit_length() - 1
+                witness = SilWitness(g.vertices[i], g.vertices[j], _names(g, comp))
+                later &= (1 << j) - 1  # a later component must offer a lower j
+        if witness is not None:
+            return witness
     return None
 
 

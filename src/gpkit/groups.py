@@ -4,8 +4,10 @@ groups given by multiplication tables.
 This module owns vertex-group arithmetic.  `arithmetic` turns a descriptor
 into the one factor object the word engine, the tree and the automorphism
 search all compute with.  Tables fix the identity at index 0.  All group
-axioms are checked exhaustively at load time, so downstream code may index
-into tables freely.
+axioms are checked completely at load time, so downstream code may index
+into tables freely; associativity by Light's test (Clifford and Preston, The
+Algebraic Theory of Semigroups I, 1961, section 1.2) on a generating set, in
+O(n^2 |gens|) products rather than n^3.
 """
 
 from __future__ import annotations
@@ -139,12 +141,31 @@ def validate(rows) -> MultTable:
         col = [rows[x][a] for x in range(n)]
         if len(set(col)) != n:
             raise NotAGroup(f"column {a} is not a permutation")
+    # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
+    # products and hold 0, so checking b over a set whose left-normed products
+    # cover the table decides associativity.  Each generator is the least
+    # element the right-multiplication walk from 0 has not reached.
+    gens: list[int] = []
+    seen, walk, done = {0}, [0], 0
+    while len(seen) < n:
+        g = next(x for x in range(n) if x not in seen)
+        gens.append(g)
+        seen.add(g)
+        walk.append(g)
+        for i, a in enumerate(walk):  # walk[:done] has met every earlier generator
+            for h in gens if i >= done else (g,):
+                c = rows[a][h]
+                if c not in seen:
+                    seen.add(c)
+                    walk.append(c)
+        done = len(walk)
     for a in range(n):
-        for b in range(n):
-            ab = rows[a][b]
-            for c in range(n):
-                if rows[ab][c] != rows[a][rows[b][c]]:
-                    raise NotAGroup(f"associativity fails on triple ({a}, {b}, {c})")
+        ra = rows[a]
+        for b in gens:
+            left, right = rows[ra[b]], tuple(map(ra.__getitem__, rows[b]))
+            if left != right:
+                c = next(c for c in range(n) if left[c] != right[c])
+                raise NotAGroup(f"associativity fails on triple ({a}, {b}, {c})")
     return MultTable(tuple(rows))
 
 

@@ -30,6 +30,7 @@ from gpkit.groups import (
     GpkitError,
     GroupDescriptor,
     MultTable,
+    NotAGroup,
     OrderTooLarge,
     automorphisms,
     cyclic_table,
@@ -73,6 +74,30 @@ def s3_table():
     return perm_table(itertools.permutations(range(3)))
 
 
+def s4_table():
+    return perm_table(itertools.permutations(range(4)))
+
+
+def s5_table():
+    return perm_table(itertools.permutations(range(5)))
+
+
+def psl27_table():
+    """PSL(2,7), order 168: the permutations of the projective line over F7
+    (point 7 is infinity) generated by x -> x + 1 and x -> -1/x."""
+    gens = [tuple((x + 1) % 7 for x in range(7)) + (7,),
+            (7,) + tuple(-pow(x, -1, 7) % 7 for x in range(1, 7)) + (0,)]
+    perms = {tuple(range(8))}
+    walk = list(perms)
+    for p in walk:
+        for g in gens:
+            q = tuple(p[g[i]] for i in range(8))
+            if q not in perms:
+                perms.add(q)
+                walk.append(q)
+    return perm_table(perms)
+
+
 def dihedral_table(m: int):
     """Symmetries of the regular m-gon (m >= 3), as permutations of its corners."""
     return perm_table({tuple((s * i + k) % m for i in range(m)) for s in (1, -1) for k in range(m)})
@@ -106,6 +131,103 @@ def direct_product_table(t1, t2):
         for (a1, a2) in pairs
     ]
     return validate(rows)
+
+
+def reference_validate(rows) -> MultTable:
+    """Check every group axiom on a raw square array and wrap it.
+
+    Raises NotAGroup naming the violated axiom and a witness.
+    """
+    rows = [tuple(int(x) for x in r) for r in rows]
+    n = len(rows)
+    if n == 0:
+        raise NotAGroup("empty table")
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise NotAGroup(f"row {i} has {len(r)} entries, expected {n}")
+        for x in r:
+            if not 0 <= x < n:
+                raise NotAGroup(f"entry {x} in row {i} out of range 0..{n - 1}")
+    for a in range(n):
+        if rows[0][a] != a or rows[a][0] != a:
+            raise NotAGroup(f"index 0 does not act as identity on element {a}")
+    for a in range(n):
+        if 0 not in rows[a]:
+            raise NotAGroup(f"element {a} has no right inverse")
+        b = rows[a].index(0)
+        if rows[b][a] != 0:
+            raise NotAGroup(f"element {a} has no two-sided inverse (right inverse {b})")
+    for a in range(n):
+        if len(set(rows[a])) != n:
+            raise NotAGroup(f"row {a} is not a permutation")
+        col = [rows[x][a] for x in range(n)]
+        if len(set(col)) != n:
+            raise NotAGroup(f"column {a} is not a permutation")
+    for a in range(n):
+        for b in range(n):
+            ab = rows[a][b]
+            for c in range(n):
+                if rows[ab][c] != rows[a][rows[b][c]]:
+                    raise NotAGroup(f"associativity fails on triple ({a}, {b}, {c})")
+    return MultTable(tuple(rows))
+
+
+def light_generators(rows) -> list[int]:
+    """The generating set Light's test checks, recomputed from scratch for
+    each pick: each generator is the least element outside the walk from 0
+    that multiplies on the right by the generators before it."""
+    n = len(rows)
+    gens: list[int] = []
+    while True:
+        seen = {0}
+        walk = [0]
+        for a in walk:
+            for g in gens:
+                if rows[a][g] not in seen:
+                    seen.add(rows[a][g])
+                    walk.append(rows[a][g])
+        if len(seen) == n:
+            return gens
+        gens.append(min(set(range(n)) - seen))
+
+
+def intercalate_swaps(table: MultTable, rng, count: int):
+    """`count` seeded Latin squares with identity 0 that are not groups.  Each
+    swaps one intercalate of non-identity entries (rows a, b and columns c, d
+    holding x, y and y, x), which keeps the identity, the inverses and every
+    row and column a permutation, so only associativity can reject it; then
+    it renames the non-identity elements at random.  Swaps that happen to
+    give an associative table are skipped."""
+    n, t = table.order, table.product
+    spots = [
+        (a, b, c, d)
+        for a, b in itertools.combinations(range(1, n), 2)
+        for c, d in itertools.combinations(range(1, n), 2)
+        if t[a][c] == t[b][d] and t[a][d] == t[b][c] and 0 not in (t[a][c], t[a][d])
+    ]
+    rng.shuffle(spots)
+    broken = []
+    for a, b, c, d in spots:
+        rows = [list(r) for r in t]
+        rows[a][c], rows[a][d] = rows[a][d], rows[a][c]
+        rows[b][c], rows[b][d] = rows[b][d], rows[b][c]
+        try:
+            reference_validate(rows)
+        except NotAGroup:
+            broken.append(rows)
+            if len(broken) == count:
+                break
+    assert broken, "no intercalate swap breaks associativity"
+    out = []
+    for k in range(count):
+        rows = broken[k % len(broken)]
+        name = [0] + rng.sample(range(1, n), n - 1)
+        renamed = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                renamed[name[a]][name[b]] = name[rows[a][b]]
+        out.append(renamed)
+    return out
 
 
 def concrete_table(desc: GroupDescriptor) -> MultTable:
@@ -821,19 +943,27 @@ def reference_connected_components(g: SimplicialGraph) -> list[frozenset[str]]:
 def reference_find_sil(g: SimplicialGraph):
     """First witness (by vertex order on the pair, then by smallest component
     vertex) of two vertices at distance >= 2 whose common-link removal leaves a
-    component avoiding both, or None."""
+    component avoiding both, or None.  Each non-adjacent pair's components
+    are found afresh, by a graph search from each vertex in declaration order
+    that neither the common link nor an earlier component holds."""
+    links = {v: g.link(v) for v in g.vertices}
     for u, v in itertools.combinations(g.vertices, 2):
-        if g.has_edge(u, v):
+        if v in links[u]:
             continue
-        cut = g.link(u) & g.link(v)
-        rest = induced(g, [w for w in g.vertices if w not in cut])
-        comps = sorted(
-            reference_connected_components(rest),
-            key=lambda c: min(g.index(w) for w in c),
-        )
-        for comp in comps:
+        seen = set(links[u] & links[v])
+        for w in g.vertices:
+            if w in seen:
+                continue
+            comp = {w}
+            seen.add(w)
+            q = [w]
+            while q:
+                new = links[q.pop()] - seen
+                seen |= new
+                comp |= new
+                q.extend(new)
             if u not in comp and v not in comp:
-                return SilWitness(u, v, comp)
+                return SilWitness(u, v, frozenset(comp))
     return None
 
 

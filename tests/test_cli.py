@@ -28,7 +28,7 @@ from gpkit.groups import NotAGroup
 from gpkit.labeled import LabeledGraph
 from gpkit.words import BadSyllable
 
-from .helpers import random_graph, serialize_graph_file
+from .helpers import d4_table, random_graph, serialize_graph_file
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -370,3 +370,38 @@ def test_opaque_vertex_blocks_only_words_that_touch_it(tmp_path, capsys):
     assert main(["tree", str(path), "-u", "a", "-v", "b", "--axis", "a[1]*b[1]"]) == 0
     assert capsys.readouterr().out == (
         "element: a[1]*b[1]\ntranslation length: 2\nsegment: (1 | a) (a[1] | b) (a[1]*b[1] | a)\n")
+
+
+def _table_text(table) -> str:
+    return f"{table.order}\n" + "".join(" ".join(map(str, r)) + "\n" for r in table.product)
+
+
+def test_each_table_file_is_validated_once_per_graph_file(tmp_path, monkeypatch):
+    d4 = d4_table()
+    (tmp_path / "s3.tbl").write_text((FIXTURES / "s3.tbl").read_text())
+    (tmp_path / "d4.tbl").write_text(_table_text(d4))
+    lines = [f"vertex s{i} table:s3.tbl" for i in range(12)] + ["vertex d table:d4.tbl"]
+    text = "\n".join(lines + ["edge s0 d"]) + "\n"
+    s3 = groups.table_group(parse_table_file((FIXTURES / "s3.tbl").read_text()), source="s3.tbl")
+    validated = []
+    real = groups.validate
+    monkeypatch.setattr(groups, "validate", lambda rows: validated.append(len(rows)) or real(rows))
+    ctx = parse_graph_file(text, base_dir=tmp_path)
+    assert validated == [6, 8]  # once per distinct file, not 13 times, once per vertex
+    assert [ctx.label(f"s{i}") for i in range(12)] == [s3] * 12
+    assert ctx.label("d") == groups.table_group(d4, source="d4.tbl")
+    assert ctx.label("d").source == "d4.tbl"
+    # the shared descriptors last only for one parse
+    parse_graph_file(text, base_dir=tmp_path)
+    assert validated == [6, 8, 6, 8]
+
+
+def test_non_group_table_named_twice_fails_on_its_first_use(tmp_path, capsys):
+    # a loop of order 5: a Latin square with identity and inverses, not associative
+    (tmp_path / "loop.tbl").write_text(
+        "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n")
+    path = tmp_path / "loop.graph"
+    path.write_text("vertex a table:loop.tbl\nvertex b Z2\nvertex c table:loop.tbl\nedge a b\n")
+    for cmd in ("classify", "graph-info"):
+        assert main([cmd, str(path)]) == 1
+        assert capsys.readouterr() == ("", "NotAGroup: associativity fails on triple (1, 1, 2)\n")

@@ -7,6 +7,7 @@ import random
 import networkx as nx
 import pytest
 
+import gpkit.graphs as graphs
 from gpkit.graphs import (
     JoinDecomposition,
     SimplicialGraph,
@@ -70,13 +71,16 @@ def _nx_sil(g: SimplicialGraph, h):
     order: the first pair whose common link leaves a component avoiding both,
     with the component holding the earliest declared vertex among those."""
     index = {v: i for i, v in enumerate(g.vertices)}
+    components = {}  # by common link: sparse graphs repeat a few, the empty one most
     for i, u in enumerate(g.vertices):
         for v in g.vertices[i + 1:]:
             if h.has_edge(u, v):
                 continue
-            cut = set(h[u]) & set(h[v])
-            rest = h.subgraph(w for w in g.vertices if w not in cut)
-            avoiding = [c for c in nx.connected_components(rest) if u not in c and v not in c]
+            cut = frozenset(h[u]) & frozenset(h[v])
+            if cut not in components:
+                rest = h.subgraph(w for w in g.vertices if w not in cut)
+                components[cut] = list(nx.connected_components(rest))
+            avoiding = [c for c in components[cut] if u not in c and v not in c]
             if avoiding:
                 return u, v, frozenset(min(avoiding, key=lambda c: min(map(index.get, c))))
     return None
@@ -145,6 +149,30 @@ def test_random_graphs_in_shuffled_order(p):
     # the SIL search must answer both ways in the sample, so that neither a
     # search that always gives up nor one that always finds is missed
     assert any(found) and not all(found)
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in (80, 120) for p in (0.1, 0.3, 0.7)])
+def test_larger_random_graphs_in_shuffled_order(n, p):
+    _check(_shuffled_random_graph(random.Random(f"graphs:{n}:{p}"), n, p))
+
+
+def test_sil_search_floods_once_per_component_of_each_star(monkeypatch):
+    # G(120, 0.5) has no SIL, so every vertex is searched; a flood per
+    # non-adjacent pair took about 3,500 calls
+    g = _shuffled_random_graph(random.Random("floods"), 120, 0.5)
+    h = _nx(g)
+    floods = 0
+    real = graphs._flood
+
+    def counting(*args):
+        nonlocal floods
+        floods += 1
+        return real(*args)
+
+    monkeypatch.setattr(graphs, "_flood", counting)
+    assert find_sil(g) is None
+    stars = sum(nx.number_connected_components(h.subgraph(set(h) - set(h[u]) - {u})) for u in h)
+    assert floods <= stars + len(g.vertices)
 
 
 def test_molecular_sparse_graphs_occur_and_agree():

@@ -2,6 +2,7 @@ import ast
 import importlib
 import itertools
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,11 +45,17 @@ from .helpers import (
     d4_table,
     dihedral_table,
     direct_product_table,
+    intercalate_swaps,
+    light_generators,
     perm_table,
+    psl27_table,
     q8_table,
     reference_automorphisms,
     reference_subgroup_closure,
+    reference_validate,
     s3_table,
+    s4_table,
+    s5_table,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,6 +88,64 @@ def test_validate_rejects_non_associative():
     ]
     with pytest.raises(NotAGroup, match="associativity"):
         validate(rows)
+
+
+# Tables the other tests reject or build outside `_reference_groups`.
+NON_GROUPS = {
+    "no inverse": [[0, 1], [1, 1]],
+    "broken identity": [[1, 0], [0, 1]],
+    "loop of order 5": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+    "ragged": [[0, 1], [1]],
+    "out of range": [[0, 1], [1, 2]],
+    "empty": [],
+}
+
+
+def _verdict(check, rows):
+    try:
+        return check(rows)
+    except NotAGroup as exc:
+        return str(exc)
+
+
+def _assert_agrees_with_reference(rows):
+    """validate and reference_validate accept the same table or reject it;
+    a rejection for associativity names a triple that fails, with a middle
+    entry from the generating set Light's test checks."""
+    got, want = _verdict(validate, rows), _verdict(reference_validate, rows)
+    if not str(want).startswith("associativity fails"):
+        assert got == want
+        return
+    m = re.fullmatch(r"associativity fails on triple \((\d+), (\d+), (\d+)\)", str(got))
+    assert m, (got, want)
+    a, b, c = map(int, m.groups())
+    assert rows[rows[a][b]][c] != rows[a][rows[b][c]], got
+    assert b in light_generators(rows), got
+
+
+def test_validate_agrees_with_reference_on_groups_and_non_groups():
+    tables = [t.product for t in _reference_groups().values()]
+    tables += [s4_table().product, s5_table().product, psl27_table().product, ((0,),)]
+    assert [len(t) for t in tables[-3:-1]] == [120, 168]
+    for rows in tables + list(NON_GROUPS.values()):
+        _assert_agrees_with_reference(rows)
+
+
+SWAPPED = {
+    "S3": s3_table, "D4": d4_table, "S4": s4_table, "D24": lambda: dihedral_table(12),
+    "Z2xD12": lambda: direct_product_table(cyclic_table(2), dihedral_table(6)),
+}
+
+
+@pytest.mark.parametrize("name", SWAPPED)
+def test_validate_rejects_intercalate_swaps_as_the_reference_does(name):
+    # 40 seeded non-associative Latin squares per group, 200 in all; only
+    # associativity can reject them
+    for rows in intercalate_swaps(SWAPPED[name](), random.Random(f"swap:{name}"), 40):
+        _assert_agrees_with_reference(rows)
+        with pytest.raises(NotAGroup, match="associativity"):
+            validate(rows)
 
 
 def test_validate_s3(s3):
