@@ -19,7 +19,6 @@ from .groups import (
     QuotientFlags,
     automorphisms,
     cyclic,
-    cyclic_table,
     infinite_cyclic,
     opaque,
     quotient_flags,
@@ -37,16 +36,14 @@ from .words import (
     multiply,
     normal_form,
     retract,
-    word_of,
 )
 
 __all__ = [
     "BadSyllable", "GpkitError", "GroupDescriptor", "IDENTITY", "JoinDecomposition",
     "LabeledGraph", "MultTable", "NormalWord", "NotAGroup", "QuotientFlags",
-    "SilWitness", "Syllable", "automorphisms", "cyclic",
-    "cyclic_table", "find_sil", "graph", "infinite_cyclic", "invert", "is_complete",
-    "is_molecular", "join_decompose", "join_pairs_partition", "labeled",
-    "matches_complete_join_pairs", "multiply", "normal_form", "opaque",
-    "quotient_flags", "retract", "table_group", "uniform", "validate",
-    "word_of", "z2",
+    "SilWitness", "Syllable", "automorphisms", "cyclic", "find_sil", "graph",
+    "infinite_cyclic", "invert", "is_complete", "is_molecular", "join_decompose",
+    "join_pairs_partition", "labeled", "matches_complete_join_pairs", "multiply",
+    "normal_form", "opaque", "quotient_flags", "retract", "table_group", "uniform",
+    "validate", "z2",
 ]

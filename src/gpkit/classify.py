@@ -121,15 +121,14 @@ def classify_T(ctx: LabeledGraph) -> Verdict:
     """Property (T) for the conjugating-automorphism group: the graph must be
     complete and every central quotient must have property (T)."""
     g = ctx.graph
-    if not is_complete(g):
-        pair = next(
-            (u, w)
-            for i, u in enumerate(g.vertices)
-            for w in g.vertices[i + 1:]
-            if not g.has_edge(u, w)
-        )
+    every = (1 << len(g.vertices)) - 1
+    # the first vertex that misses another misses only later ones
+    i = next((i for i, m in enumerate(g.masks) if m | 1 << i != every), None)
+    if i is not None:
+        missing = every & ~g.masks[i] & ~(1 << i)
+        u, w = g.vertices[i], g.vertices[(missing & -missing).bit_length() - 1]
         return Verdict(NO, (
-            f"complete-graph criterion fails: vertices {pair[0]!r} and {pair[1]!r} "
+            f"complete-graph criterion fails: vertices {u!r} and {w!r} "
             "are non-adjacent, so the group acts fixed-point freely on a tree",
         ))
     vals, reasons = [], ["complete-graph criterion holds"]
@@ -204,18 +203,6 @@ def _vastness(ctx: LabeledGraph, jd: JoinDecomposition, prop: str) -> Verdict:
     elif value == UNKNOWN:
         reasons.append("opaque labels leave a deciding clause open")
     return Verdict(value, tuple(reasons))
-
-
-def classify_racg(g: SimplicialGraph, prop: str = SQ_UNIVERSAL) -> Verdict:
-    """Same decision on the order-2-uniform labeling, from the graph alone."""
-    text = _PROPERTY_TEXT.get(prop, prop)
-    if matches_complete_join_pairs(g):
-        return Verdict(NO, (
-            f"graph is a join of a clique with non-adjacent pairs, so {text} fails",
-        ))
-    return Verdict(YES, (
-        f"graph is not a join of a clique with non-adjacent pairs, so {text} holds",
-    ))
 
 
 def racg_large(g: SimplicialGraph) -> RacgLargeness:

@@ -381,9 +381,7 @@ def _run_tree(request: CommandRequest) -> str:
                 f"segment: {seg}\n")
     if request.wpd:
         cert = tree.wpd_certificate(fp, request.gens_a, request.gens_b)
-        malnormal = all(
-            tree.malnormality_check(fp, side, request.radius) for side in fp.sides
-        )
+        malnormal = all(tree.malnormality_check(fp, request.radius).holds)
         payload = {
             "element": format_word(cert.g, fp.ctx),
             "translationLength": cert.translation_length,

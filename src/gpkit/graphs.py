@@ -228,11 +228,6 @@ def _star_components(masks, i: int):
     yield from _split(masks, (1 << len(masks)) - 1 & ~masks[i] & ~(1 << i))
 
 
-def connected_components(g: SimplicialGraph) -> list[frozenset[str]]:
-    """Components, ordered by their smallest vertex index."""
-    return [_names(g, comp) for comp in _components(g.masks)]
-
-
 def girth(g: SimplicialGraph) -> float:
     """Length of a shortest cycle; math.inf for forests.
 

@@ -144,21 +144,13 @@ def validate(rows) -> MultTable:
     # Light's test: the b with (ab)c = a(bc) for all a, c are closed under
     # products and hold 0, so checking b over a set whose left-normed products
     # cover the table decides associativity.  Each generator is the least
-    # element the right-multiplication walk from 0 has not reached.
+    # element outside the walk from 0 by the generators before it.
+    table = MultTable(tuple(rows))
     gens: list[int] = []
-    seen, walk, done = {0}, [0], 0
+    seen = {0}
     while len(seen) < n:
-        g = next(x for x in range(n) if x not in seen)
-        gens.append(g)
-        seen.add(g)
-        walk.append(g)
-        for i, a in enumerate(walk):  # walk[:done] has met every earlier generator
-            for h in gens if i >= done else (g,):
-                c = rows[a][h]
-                if c not in seen:
-                    seen.add(c)
-                    walk.append(c)
-        done = len(walk)
+        gens.append(next(x for x in range(n) if x not in seen))
+        seen = subgroup_closure(table, gens)
     for a in range(n):
         ra = rows[a]
         for b in gens:
@@ -166,14 +158,7 @@ def validate(rows) -> MultTable:
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
                 raise NotAGroup(f"associativity fails on triple ({a}, {b}, {c})")
-    return MultTable(tuple(rows))
-
-
-def cyclic_table(n: int) -> MultTable:
-    """Addition table of the cyclic group of order n."""
-    if n < 1:
-        raise GpkitError("order must be positive")
-    return MultTable(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
+    return table
 
 
 def automorphisms(

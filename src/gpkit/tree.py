@@ -16,9 +16,10 @@ u*v is the seam product, which joins u and v and only looks where they meet.
 While the last letter of u and the first of v lie on one side they multiply;
 an identity product cancels both and the walk goes on, anything else merges
 into one letter and ends it.  NormalWords are converted at the API edge.  The
-malnormality scan walks the ball depth first and tests each conjugate on
-indices, so its memory grows with the radius and not with the ball; its work
-is bounded by MAX_SCAN_WORK.
+malnormality scan walks the ball once, depth first, and conjugates each letter
+of both factors on indices; the side a conjugate lands on decides which
+factor it tests, so one pass covers both.  Its memory grows with the radius
+and not with the ball; its work is bounded by MAX_SCAN_WORK.
 """
 
 from __future__ import annotations
@@ -220,11 +221,6 @@ def _vertex(fp: FreeProduct, u: tuple, side: str) -> TreeVertex:
     return TreeVertex(side, _word(fp, _strip(fp, u, side)))
 
 
-def vertex_of(fp: FreeProduct, g: NormalWord, side: str) -> TreeVertex:
-    """Canonical vertex of the coset g * (side factor)."""
-    return _vertex(fp, _letters(fp, g), side)
-
-
 def act(fp: FreeProduct, g: NormalWord, x: TreeVertex) -> TreeVertex:
     """Left translation of the coset x by g."""
     return _vertex(fp, _seam_product(fp, _letters(fp, g), _letters(fp, x.rep)), x.side)
@@ -367,8 +363,8 @@ def _scan_work(orders, radius: int) -> tuple[int, int, bool]:
     return size * k, fits, True
 
 
-def _lands_on(word, t: int, a: int, side: int, mul, inv) -> bool:
-    """Whether word * (t, a) * word^-1 is one letter on `side`.
+def _lands_on(word, t: int, a: int, mul, inv) -> int:
+    """The side word * (t, a) * word^-1 lies on as one letter, or -1.
 
     Both seam products are walked on indices and nothing is allocated: the
     left factor is word[:i] followed by the letter (ms, me) when ms >= 0, and
@@ -397,32 +393,48 @@ def _lands_on(word, t: int, a: int, side: int, mul, inv) -> bool:
             break
         ms = -1
     if i + (ms >= 0) + j + 1 != 1:
-        return False
-    return (ms if ms >= 0 else word[0][0]) == side
+        return -1
+    return ms if ms >= 0 else word[0][0]
 
 
-def malnormality_check(fp: FreeProduct, side: str, radius: int) -> bool:
-    """Exhaustively confirm the factor on `side` meets its conjugates trivially.
+@dataclass(frozen=True)
+class Malnormality:
+    """Verdict of one malnormality scan, by side index: witnesses[s] is the
+    first (g, letter) whose conjugate g * letter * g^-1 is an element of the
+    factor on side s, or None when every tested conjugate missed it."""
 
-    Scans every g of syllable length <= radius: conjugates of the chosen factor
-    by g outside it, and conjugates of the other factor by every g, must not
-    hit a non-trivial element of the chosen factor.  Raises ScanTooLarge, before
-    scanning, when that is more than MAX_SCAN_WORK conjugates.
+    witnesses: tuple[tuple[NormalWord, NormalWord] | None, tuple[NormalWord, NormalWord] | None]
+
+    @property
+    def holds(self) -> tuple[bool, bool]:
+        return tuple(w is None for w in self.witnesses)
+
+
+def malnormality_check(fp: FreeProduct, radius: int) -> Malnormality:
+    """Exhaustively confirm each factor meets its conjugates trivially.
+
+    One pass over every g of syllable length <= radius conjugates each
+    non-identity letter of both factors by g.  A conjugate that is one letter
+    on side s breaks side s, unless the letter and g both lie in that factor
+    (g may be the identity).  Raises ScanTooLarge, before scanning, when that
+    is more than MAX_SCAN_WORK conjugates.
     """
-    own = fp.sides.index(side)
     orders = _orders(fp)
     work, fits, exact = _scan_work(orders, radius)
     if work > MAX_SCAN_WORK:
         raise ScanTooLarge(radius, work, exact, fits)
     mul, inv = fp._arith
-    foreign = [(1 - own, e) for e in range(1, orders[1 - own])]
-    every = [(own, e) for e in range(1, orders[own])] + foreign
+    letters = [(t, a) for t in (0, 1) for a in range(1, orders[t])]
+    witnesses = [None, None]
     for word in _ball(orders, radius):
-        in_own_factor = not word or (len(word) == 1 and word[0][0] == own)
-        for t, a in foreign if in_own_factor else every:
-            if _lands_on(word, t, a, own, mul, inv):
-                return False
-    return True
+        for t, a in letters:
+            s = _lands_on(word, t, a, mul, inv)
+            if s < 0 or witnesses[s] is not None:
+                continue
+            if s == t and (not word or (len(word) == 1 and word[0][0] == s)):
+                continue
+            witnesses[s] = (_word(fp, word), _word(fp, ((t, a),)))
+    return Malnormality(tuple(witnesses))
 
 
 def wpd_certificate(fp: FreeProduct, gens_a=None, gens_b=None) -> WpdCertificate:

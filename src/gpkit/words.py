@@ -149,11 +149,6 @@ def normal_form(raw, ctx: LabeledGraph) -> NormalWord:
     return NormalWord(tuple(out))
 
 
-def word_of(ctx: LabeledGraph, *pairs) -> NormalWord:
-    """Convenience: normal form of (vertex, element) pairs."""
-    return normal_form([Syllable(v, e) for v, e in pairs], ctx)
-
-
 def multiply(w1: NormalWord, w2: NormalWord, ctx: LabeledGraph) -> NormalWord:
     return normal_form(w1.syllables + w2.syllables, ctx)
 

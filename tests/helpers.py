@@ -17,9 +17,12 @@ import string
 from collections import deque
 
 from gpkit import graph, validate
+from gpkit.classify import SQ_UNIVERSAL, _PROPERTY_TEXT, Verdict
 from gpkit.graphs import (
     SilWitness,
     SimplicialGraph,
+    _components,
+    _names,
     find_sil,
     girth,
     induced,
@@ -27,13 +30,14 @@ from gpkit.graphs import (
 )
 from gpkit.groups import (
     AUTOMORPHISM_ORDER_BOUND,
+    NO,
+    YES,
     GpkitError,
     GroupDescriptor,
     MultTable,
     NotAGroup,
     OrderTooLarge,
     automorphisms,
-    cyclic_table,
     minimal_generating_set,
     order_of,
 )
@@ -44,6 +48,8 @@ from gpkit.tree import (
     NotGenerating,
     TreeVertex,
     WpdCertificate,
+    _letters,
+    _vertex,
     act,
     act_auto,
     ball_elements,
@@ -68,6 +74,13 @@ def perm_table(perms):
 
     rows = [[idx[compose(p, q)] for q in perms] for p in perms]
     return validate(rows)
+
+
+def cyclic_table(n: int) -> MultTable:
+    """Addition table of the cyclic group of order n."""
+    if n < 1:
+        raise GpkitError("order must be positive")
+    return MultTable(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
 def s3_table():
@@ -386,6 +399,11 @@ def central_quotient(table: MultTable) -> MultTable:
     return validate([[pos[coset_min[table.mul(a, b)]] for b in reps] for a in reps])
 
 
+def word_of(ctx: LabeledGraph, *pairs) -> NormalWord:
+    """Normal form of (vertex, element) pairs."""
+    return normal_form([Syllable(v, e) for v, e in pairs], ctx)
+
+
 def conjugate(w: NormalWord, by: NormalWord, ctx: LabeledGraph) -> NormalWord:
     """by * w * by^-1."""
     return multiply(multiply(by, w, ctx), invert(by, ctx), ctx)
@@ -598,6 +616,11 @@ def _canonical(word, order, adj):
 # ---------------------------------------------------------------------------
 # Reference tree functions: the general normal-form route that gpkit.tree's
 # seam products replace.  The tree functions must agree with them.
+
+def vertex_of(fp: FreeProduct, g: NormalWord, side: str) -> TreeVertex:
+    """Canonical vertex of the coset g * (side factor), by the seam route."""
+    return _vertex(fp, _letters(fp, g), side)
+
 
 def reference_vertex_of(fp: FreeProduct, g: NormalWord, side: str) -> TreeVertex:
     """Canonical vertex of the coset g * (side factor)."""
@@ -879,6 +902,18 @@ def reference_join_pairs_partition(g: SimplicialGraph):
     return search(vs, [])
 
 
+def classify_racg(g: SimplicialGraph, prop: str = SQ_UNIVERSAL) -> Verdict:
+    """The vastness decision on the order-2-uniform labeling, from the graph alone."""
+    text = _PROPERTY_TEXT.get(prop, prop)
+    if matches_complete_join_pairs(g):
+        return Verdict(NO, (
+            f"graph is a join of a clique with non-adjacent pairs, so {text} fails",
+        ))
+    return Verdict(YES, (
+        f"graph is not a join of a clique with non-adjacent pairs, so {text} holds",
+    ))
+
+
 def sil_implies_vast(g: SimplicialGraph) -> bool:
     """Cross-check: a graph containing a separated-intersection-of-links pair
     never satisfies the pairs-join condition."""
@@ -918,6 +953,12 @@ def distance(g: SimplicialGraph, u: str, v: str) -> float:
                     return dist[y]
                 q.append(y)
     return math.inf
+
+
+def connected_components(g: SimplicialGraph) -> list[frozenset[str]]:
+    """Components by the bitmask flood gpkit.graphs uses, ordered by their
+    smallest vertex index."""
+    return [_names(g, comp) for comp in _components(g.masks)]
 
 
 def reference_connected_components(g: SimplicialGraph) -> list[frozenset[str]]:

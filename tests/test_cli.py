@@ -318,13 +318,13 @@ def test_internal_value_error_is_not_a_user_error(monkeypatch):
 
 
 def test_wpd_rejects_large_factor_before_building_tables(tmp_path, monkeypatch, capsys):
-    def no_tables(n):
-        raise AssertionError(f"cyclic_table({n}) built")
+    def no_tables(table):
+        raise AssertionError(f"table of order {len(table.product)} built")
 
     def no_search(table):
         raise AssertionError("generator search started")
 
-    monkeypatch.setattr(groups, "cyclic_table", no_tables)
+    monkeypatch.setattr(groups.MultTable, "__post_init__", no_tables)
     for module in (groups, tree):
         monkeypatch.setattr(module, "minimal_generating_set", no_search)
     path = tmp_path / "big.graph"

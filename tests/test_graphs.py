@@ -6,7 +6,6 @@ from hypothesis import given
 from gpkit.graphs import (
     SimplicialGraph,
     complement_degrees,
-    connected_components,
     find_sil,
     girth,
     graph,
@@ -23,6 +22,7 @@ from .conftest import graphs_st
 from .helpers import (
     all_graphs,
     complement,
+    connected_components,
     distance,
     random_graph,
     reference_join_pairs_partition,

@@ -12,7 +12,6 @@ from gpkit.graphs import (
     JoinDecomposition,
     SimplicialGraph,
     complement_degrees,
-    connected_components,
     find_sil,
     graph,
     is_molecular,
@@ -22,6 +21,7 @@ from gpkit.graphs import (
 
 from .helpers import (
     all_graphs,
+    connected_components,
     reference_connected_components,
     reference_find_sil,
     reference_is_molecular,

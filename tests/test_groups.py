@@ -23,7 +23,6 @@ from gpkit.groups import (
     arithmetic,
     automorphisms,
     cyclic,
-    cyclic_table,
     identity_perm,
     infinite_cyclic,
     is_finite,
@@ -42,6 +41,7 @@ from .helpers import (
     center,
     central_quotient,
     concrete_table,
+    cyclic_table,
     d4_table,
     dihedral_table,
     direct_product_table,

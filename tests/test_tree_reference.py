@@ -18,7 +18,6 @@ from gpkit.tree import (
     ball_elements,
     malnormality_check,
     tree_distance,
-    vertex_of,
 )
 from gpkit.words import BadSyllable, NormalWord, Syllable, invert, multiply
 
@@ -32,6 +31,7 @@ from .helpers import (
     reference_tree_distance,
     reference_vertex_of,
     s3_table,
+    vertex_of,
 )
 
 FACTORS = {
@@ -126,9 +126,31 @@ def test_tree_functions_match_reference_without_tables(desc, letters):
 def test_malnormality_check_matches_reference_scan(pair):
     fp = _fp(pair)
     for radius in (1, 2, 3):
-        for side in fp.sides:
-            assert malnormality_check(fp, side, radius) == reference_malnormality_check(
-                fp, side, radius)
+        assert malnormality_check(fp, radius).holds == tuple(
+            reference_malnormality_check(fp, side, radius) for side in fp.sides)
+
+
+@pytest.mark.parametrize("pair", [("Z3", "Z3"), ("Z3", "S3"), ("Z4", "Z4"), ("S3", "S3")],
+                         ids="*".join)
+def test_scan_reports_the_factor_a_wrong_inverse_breaks(pair, monkeypatch):
+    """Free factors are malnormal, so a False verdict means broken arithmetic.
+    One wrong inverse on side a's factor must break side a alone, with a
+    witness the word engine confirms under the same arithmetic."""
+    fresh = {"Z3": cyclic(3), "Z4": cyclic(4), "S3": table_group(s3_table())}
+    fp = fp_of(fresh[pair[0]], FACTORS[pair[1]])  # side a's factor object is its own
+    factor = fp.factor("a")
+    right = factor.inv
+    wrong = next(e for e in range(1, factor.order) if e != right(1))
+    monkeypatch.setitem(vars(factor), "inv", lambda e: wrong if e == 1 else right(e))
+    assert fp._arith[1][0](1) == wrong
+    result = malnormality_check(fp, 3)
+    assert result.holds == (False, True)
+    assert result.holds == tuple(reference_malnormality_check(fp, side, 3) for side in fp.sides)
+    g, letter = result.witnesses[0]
+    conj = multiply(multiply(g, letter, fp.ctx), invert(g, fp.ctx), fp.ctx)
+    assert len(conj) == 1 and conj.syllables[0].vertex == "a"
+    g_in_a = g.is_identity or (len(g) == 1 and g.syllables[0].vertex == "a")
+    assert not (g_in_a and letter.syllables[0].vertex == "a")
 
 
 @pytest.mark.parametrize("pair", [("Z2", "Z2"), ("Z2", "Z3"), ("S3", "Z4"), ("Z6", "D4")],
@@ -143,9 +165,8 @@ def test_seam_test_matches_conjugates(pair):
         g_inv = invert(g, fp.ctx)
         for t, a in ((t, a) for t in (0, 1) for a in range(1, orders[t])):
             conj = multiply(multiply(g, tree._word(fp, ((t, a),)), fp.ctx), g_inv, fp.ctx)
-            for side in (0, 1):
-                want = len(conj) == 1 and conj.syllables[0].vertex == fp.sides[side]
-                assert tree._lands_on(word, t, a, side, mul, inv) == want
+            want = fp.sides.index(conj.syllables[0].vertex) if len(conj) == 1 else -1
+            assert tree._lands_on(word, t, a, mul, inv) == want
 
 
 def test_ball_generator_gives_each_alternating_word_once_after_its_prefix():
@@ -175,13 +196,13 @@ def test_scan_too_large_names_radius_work_bound_and_largest_radius(monkeypatch):
     monkeypatch.setattr(tree, "_ball", no_scan)
     fp = fp_of(cyclic(12), cyclic(12))
     with pytest.raises(ScanTooLarge) as exc:
-        malnormality_check(fp, "a", 6)
+        malnormality_check(fp, 6)
     ball = 1 + sum(2 * 11 ** k for k in range(1, 7))
     assert str(exc.value) == (
         f"malnormality scan at radius 6 needs {ball * 22:,} conjugates, "
         f"over the bound of {tree.MAX_SCAN_WORK:,}; the largest radius within it is 4")
     with pytest.raises(ScanTooLarge, match="needs more than .* within it is 1249999$"):
-        malnormality_check(fp_of(z2(), z2()), "a", 10**12)
+        malnormality_check(fp_of(z2(), z2()), 10**12)
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 7, 50, 1000])
@@ -204,9 +225,9 @@ def test_z2_z2_refusal_is_counted_in_closed_form(monkeypatch):
     fits = (tree.MAX_SCAN_WORK // 2 - 1) // 2
     start = time.perf_counter()
     with pytest.raises(ScanTooLarge) as exact:
-        malnormality_check(fp, "a", fits + 1)
+        malnormality_check(fp, fits + 1)
     with pytest.raises(ScanTooLarge) as beyond:
-        malnormality_check(fp, "b", 10**12)
+        malnormality_check(fp, 10**12)
     assert time.perf_counter() - start < 0.05
     assert str(exact.value) == (
         f"malnormality scan at radius {fits + 1} needs {2 * (2 * fits + 3):,} conjugates, "

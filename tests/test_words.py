@@ -19,7 +19,6 @@ from gpkit.words import (
     multiply,
     normal_form,
     retract,
-    word_of,
 )
 
 from .conftest import context_and_words_st, contexts_st
@@ -33,6 +32,7 @@ from .helpers import (
     reference_normal_form,
     relabel,
     s3_table,
+    word_of,
 )
 
 P3_Z2 = uniform(graph("abc", ["ab", "bc"]), z2())
@@ -244,10 +244,10 @@ def test_normal_form_matches_reference():
 
 
 def test_large_cyclic_factor_needs_no_table(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"cyclic_table({n}) built")
+    def refuse(table):
+        raise AssertionError(f"table of order {len(table.product)} built")
 
-    monkeypatch.setattr(gpkit.groups, "cyclic_table", refuse)
+    monkeypatch.setattr(gpkit.groups.MultTable, "__post_init__", refuse)
     ctx = LabeledGraph(graph("ab"), (cyclic(40000), z2()))
     w = word_of(ctx, ("a", 39999), ("b", 1), ("a", 2), ("a", 39999))
     assert w.syllables == (Syllable("a", 39999), Syllable("b", 1), Syllable("a", 1))
