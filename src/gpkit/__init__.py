@@ -21,7 +21,6 @@ from .groups import (
     cyclic,
     infinite_cyclic,
     opaque,
-    quotient_flags,
     table_group,
     validate,
     z2,
@@ -44,6 +43,6 @@ __all__ = [
     "SilWitness", "Syllable", "automorphisms", "cyclic", "find_sil", "graph",
     "infinite_cyclic", "invert", "is_complete", "is_molecular", "join_decompose",
     "join_pairs_partition", "labeled", "matches_complete_join_pairs", "multiply",
-    "normal_form", "opaque", "quotient_flags", "retract", "table_group", "uniform",
+    "normal_form", "opaque", "retract", "table_group", "uniform",
     "validate", "z2",
 ]

@@ -20,7 +20,7 @@ from .graphs import (
     join_pairs_partition,
     matches_complete_join_pairs,
 )
-from .groups import NO, UNKNOWN, YES, GpkitError, is_finite, is_z2, order_of, quotient_flags
+from .groups import NO, UNKNOWN, YES, GpkitError
 from .labeled import LabeledGraph
 
 SQ_UNIVERSAL = "sq_universal"
@@ -133,7 +133,7 @@ def classify_T(ctx: LabeledGraph) -> Verdict:
         ))
     vals, reasons = [], ["complete-graph criterion holds"]
     for v in g.vertices:
-        flag = quotient_flags(ctx.label(v)).kazhdan_t
+        flag = ctx.label(v).flags.kazhdan_t
         vals.append(flag)
         if flag != YES:
             reasons.append(f"central quotient at vertex {v!r}: property (T) {flag}")
@@ -167,7 +167,8 @@ def _vastness(ctx: LabeledGraph, jd: JoinDecomposition, prop: str) -> Verdict:
 
     non_z2_vals = []
     for v in jd.core:
-        val = tri_not(is_z2(ctx.label(v)))
+        d = ctx.label(v)
+        val = UNKNOWN if d.kind == "opaque" else NO if d.order == 2 else YES
         non_z2_vals.append(val)
         if val == YES:
             reasons.append(f"core vertex {v!r} is not labeled by the order-2 group")
@@ -177,7 +178,7 @@ def _vastness(ctx: LabeledGraph, jd: JoinDecomposition, prop: str) -> Verdict:
     cone_vals = []
     for v in jd.cone:
         if prop in ADMISSIBLE_PROPERTIES:
-            val = _flag_for(quotient_flags(ctx.label(v)), prop)
+            val = _flag_for(ctx.label(v).flags, prop)
         else:
             # admissible properties fail for finite groups; only opaque labels stay open
             val = UNKNOWN if ctx.label(v).kind == "opaque" else NO
@@ -219,7 +220,7 @@ def racg_large(g: SimplicialGraph) -> RacgLargeness:
 
 def _require_finite(ctx: LabeledGraph) -> None:
     for v in ctx.graph.vertices:
-        if is_finite(ctx.label(v)) is not True:
+        if ctx.label(v).order is None:
             raise NonFiniteLabel(f"vertex {v!r} is not labeled by a finite group")
 
 
@@ -231,7 +232,7 @@ def classify_equivalences(ctx: LabeledGraph) -> EquivalenceSummary:
 
 
 def _equivalences(ctx: LabeledGraph, jd: JoinDecomposition) -> EquivalenceSummary:
-    has_non_z2 = any(order_of(ctx.label(v)) != 2 for v in jd.core)
+    has_non_z2 = any(ctx.label(v).order != 2 for v in jd.core)
     virtually_abelian = not has_non_z2 and matches_complete_join_pairs(ctx.graph)
     return EquivalenceSummary((not virtually_abelian,) * 6, virtually_abelian)
 
@@ -263,7 +264,7 @@ def classify_molecular(ctx: LabeledGraph) -> Verdict:
         return Verdict(NO, (
             "molecular graph with more than one edge: no property (T)",
         ))
-    flags = [quotient_flags(ctx.label(v)).kazhdan_t for v in g.vertices]
+    flags = [ctx.label(v).flags.kazhdan_t for v in g.vertices]
     value = tri_and(flags)
     if value == YES:
         return Verdict(YES, (
@@ -283,7 +284,7 @@ def classify(ctx: LabeledGraph) -> ClassificationReport:
     that apply to the instance."""
     jd = join_decompose(ctx.graph)
     notes = []
-    if any(ctx.label(v).kind == "opaque" for v in ctx.graph.vertices):
+    if any(d.kind == "opaque" for d in ctx.labels):
         notes.append(
             "opaque labels: finite generation and quotient flags are taken on trust"
         )
@@ -294,7 +295,7 @@ def classify(ctx: LabeledGraph) -> ClassificationReport:
     nbg = _vastness(ctx, jd, NOT_BOUNDEDLY_GENERATED)
     bounded = Verdict(tri_not(nbg.value), nbg.reasons)
 
-    all_finite = all(is_finite(ctx.label(v)) is True for v in ctx.graph.vertices)
+    all_finite = all(d.order is not None for d in ctx.labels)
     equivalences = _equivalences(ctx, jd) if all_finite else None
     aut_t = classify_aut_t(ctx) if all_finite else None
     if not all_finite:
@@ -305,7 +306,7 @@ def classify(ctx: LabeledGraph) -> ClassificationReport:
     except NotMolecular:
         molecular = None
 
-    all_z2 = all(order_of(ctx.label(v)) == 2 for v in ctx.graph.vertices)
+    all_z2 = all(d.order == 2 for d in ctx.labels)
     largeness = racg_large(ctx.graph) if all_z2 else None
 
     return ClassificationReport(

@@ -1,12 +1,13 @@
-"""Vertex groups: their descriptors, their group law, and concrete finite
-groups given by multiplication tables.
+"""Vertex groups: each label is one object that carries its order, the flags
+of its central quotient and its group law.
 
-This module owns vertex-group arithmetic.  `arithmetic` turns a descriptor
-into the one factor object the word engine, the tree and the automorphism
-search all compute with.  Tables fix the identity at index 0.  All group
-axioms are checked completely at load time, so downstream code may index
-into tables freely; associativity by Light's test (Clifford and Preston, The
-Algebraic Theory of Semigroups I, 1961, section 1.2) on a generating set, in
+A vertex group is a `GroupDescriptor`: a multiplication table (`MultTable`),
+Z/n as addition mod n, Z on exponents, or an opaque group known only by its
+flags.  The word engine, the tree and the automorphism search all compute with
+the label itself.  Tables fix the identity at index 0.  All group axioms are
+checked completely at load time, so downstream code may index into tables
+freely; associativity by Light's test (Clifford and Preston, The Algebraic
+Theory of Semigroups I, 1961, section 1.2) on a generating set, in
 O(n^2 |gens|) products rather than n^3.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 YES = "yes"
 NO = "no"
@@ -41,15 +43,47 @@ class OrderTooLarge(GpkitError):
         super().__init__(f"table order {n} exceeds bound {bound}")
 
 
-class _Factor:
-    """One vertex group on element codes, 0 being the identity: 0..order-1 for
-    finite groups, exponents for Z (order None).  Subclasses give mul and inv."""
+@dataclass(frozen=True)
+class QuotientFlags:
+    """Tri-state property flags asserted about the central quotient G/Z(G)."""
 
-    def __init__(self, order):
-        self.order = order
+    kazhdan_t: str = UNKNOWN
+    sq_universal: str = UNKNOWN
+    many_quasimorphisms: str = UNKNOWN
+    boundedly_generated: str = UNKNOWN
+
+    def __post_init__(self):
+        for f in (self.kazhdan_t, self.sq_universal,
+                  self.many_quasimorphisms, self.boundedly_generated):
+            if f not in TRI_STATES:
+                raise GpkitError(f"flag value {f!r} not in {TRI_STATES}")
+
+
+# Any finite group: the central quotient is finite, hence has property (T), is
+# boundedly generated, is not SQ-universal and has no homogeneous
+# quasimorphisms beyond zero.  Z has a trivial central quotient, so the same.
+FINITE_QUOTIENT_FLAGS = QuotientFlags(
+    kazhdan_t=YES, sq_universal=NO, many_quasimorphisms=NO, boundedly_generated=YES
+)
+
+
+@dataclass(frozen=True)
+class GroupDescriptor:
+    """A vertex group: the label on a graph vertex and the group law that the
+    word engine, the tree and the automorphism search compute with.
+
+    Elements are int codes, 0 being the identity: 0..order-1 for finite
+    groups, exponents for Z.  order is None for Z and for opaque groups; flags
+    are about the central quotient; kind is "cyclic", "Z", "table" or
+    "opaque".  Subclasses give mul and inv.
+    """
+
+    kind: ClassVar[str]
+    order: ClassVar[int | None]
+    flags: ClassVar[QuotientFlags] = FINITE_QUOTIENT_FLAGS
 
     def valid(self, a) -> bool:
-        return isinstance(a, int) and (self.order is None or 0 <= a < self.order)
+        return isinstance(a, int) and 0 <= a < self.order
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -60,10 +94,14 @@ class _Factor:
 
 
 @dataclass(frozen=True)
-class MultTable(_Factor):
-    """Multiplication table of a finite group; entry [a][b] is the product a*b."""
+class MultTable(GroupDescriptor):
+    """Multiplication table of a finite group; entry [a][b] is the product a*b.
 
+    source, the table file it was read from, takes no part in equality."""
+
+    kind = "table"
     product: tuple[tuple[int, ...], ...]
+    source: str | None = field(default=None, compare=False)
     order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,8 +121,12 @@ class MultTable(_Factor):
         return self.inverse[a]
 
 
-class _CyclicFactor(_Factor):
+@dataclass(frozen=True)
+class _Cyclic(GroupDescriptor):
     """Z/n as addition mod n, with no n x n table."""
+
+    kind = "cyclic"
+    order: int
 
     def mul(self, a, b):
         return (a + b) % self.order
@@ -93,7 +135,16 @@ class _CyclicFactor(_Factor):
         return -a % self.order
 
 
-class _IntFactor(_Factor):
+@dataclass(frozen=True)
+class _InfiniteCyclic(GroupDescriptor):
+    """Z as addition of exponents."""
+
+    kind = "Z"
+    order = None
+
+    def valid(self, a) -> bool:
+        return isinstance(a, int)
+
     def mul(self, a, b):
         return a + b
 
@@ -101,14 +152,40 @@ class _IntFactor(_Factor):
         return -a
 
 
-class _OpaqueFactor(_Factor):
-    """A group known only by flags: any syllable on it is an error, so an
-    opaque vertex blocks only the words that touch it."""
+@dataclass(frozen=True)
+class _Opaque(GroupDescriptor):
+    """A group known only by the flags asserted about it: any element of it is
+    an error, so an opaque vertex blocks only the words that touch it."""
+
+    kind = "opaque"
+    order = None
+    flags: QuotientFlags = field()  # required: the inherited default is for concrete groups
 
     def valid(self, *args):
         raise GpkitError("opaque vertex groups are not computable; the word engine rejects them")
 
     mul = inv = valid
+
+
+def z2() -> GroupDescriptor:
+    return _Cyclic(2)
+
+
+def cyclic(n: int) -> GroupDescriptor:
+    return _Cyclic(n)
+
+
+def infinite_cyclic() -> GroupDescriptor:
+    return _InfiniteCyclic()
+
+
+def table_group(table: MultTable, source: str | None = None) -> GroupDescriptor:
+    """The table group read from `source`, sharing table's rows."""
+    return MultTable(table.product, source)
+
+
+def opaque(flags: QuotientFlags) -> GroupDescriptor:
+    return _Opaque(flags)
 
 
 def validate(rows) -> MultTable:
@@ -162,7 +239,7 @@ def validate(rows) -> MultTable:
 
 
 def automorphisms(
-    table: _Factor, max_order: int = AUTOMORPHISM_ORDER_BOUND
+    table: GroupDescriptor, max_order: int = AUTOMORPHISM_ORDER_BOUND
 ) -> list[tuple[int, ...]]:
     """All product-preserving bijections fixing 0, as permutations of indices.
 
@@ -220,7 +297,7 @@ def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def subgroup_closure(table: MultTable, gens) -> frozenset[int]:
+def subgroup_closure(table: GroupDescriptor, gens) -> frozenset[int]:
     """Subgroup generated by the given element indices: the vertices of the
     Cayley graph reached from the identity by multiplying on the right by each
     generator.  In a finite group that set is closed under products."""
@@ -235,128 +312,9 @@ def subgroup_closure(table: MultTable, gens) -> frozenset[int]:
     return frozenset(seen)
 
 
-def minimal_generating_set(table: MultTable) -> tuple[int, ...]:
+def minimal_generating_set(table: GroupDescriptor) -> tuple[int, ...]:
     """Smallest generating set, first in lexicographic order among those of
     minimal size; the non-identity elements together always generate."""
     n = table.order
     return next(combo for size in range(n) for combo in itertools.combinations(range(1, n), size)
                 if len(subgroup_closure(table, combo)) == n)
-
-
-# ---------------------------------------------------------------------------
-# Vertex-group descriptors
-
-
-@dataclass(frozen=True)
-class QuotientFlags:
-    """Tri-state property flags asserted about the central quotient G/Z(G)."""
-
-    kazhdan_t: str = UNKNOWN
-    sq_universal: str = UNKNOWN
-    many_quasimorphisms: str = UNKNOWN
-    boundedly_generated: str = UNKNOWN
-
-    def __post_init__(self):
-        for f in (self.kazhdan_t, self.sq_universal,
-                  self.many_quasimorphisms, self.boundedly_generated):
-            if f not in TRI_STATES:
-                raise GpkitError(f"flag value {f!r} not in {TRI_STATES}")
-
-
-# Any finite group: the central quotient is finite, hence has property (T), is
-# boundedly generated, is not SQ-universal and has no homogeneous
-# quasimorphisms beyond zero.
-FINITE_QUOTIENT_FLAGS = QuotientFlags(
-    kazhdan_t=YES, sq_universal=NO, many_quasimorphisms=NO, boundedly_generated=YES
-)
-
-
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """Label attached to a graph vertex: which group sits there.
-
-    kind is one of "Z2", "cyclic", "Z", "table", "opaque".  Only opaque
-    descriptors carry user-asserted flags; everything else is concrete.
-    """
-
-    kind: str
-    modulus: int | None = None
-    table: MultTable | None = None
-    flags: QuotientFlags | None = None
-    source: str | None = None
-
-    def __post_init__(self):
-        if self.kind == "cyclic" and (self.modulus is None or self.modulus < 2):
-            raise GpkitError("cyclic descriptors need modulus >= 2")
-        if self.kind == "table" and (self.table is None or self.table.order < 2):
-            raise GpkitError("table descriptors must be non-trivial groups")
-
-
-def z2() -> GroupDescriptor:
-    return GroupDescriptor("Z2")
-
-
-def cyclic(n: int) -> GroupDescriptor:
-    return GroupDescriptor("cyclic", modulus=n)
-
-
-def infinite_cyclic() -> GroupDescriptor:
-    return GroupDescriptor("Z")
-
-
-def table_group(table: MultTable, source: str | None = None) -> GroupDescriptor:
-    return GroupDescriptor("table", table=table, source=source)
-
-
-def opaque(flags: QuotientFlags) -> GroupDescriptor:
-    return GroupDescriptor("opaque", flags=flags)
-
-
-def order_of(desc: GroupDescriptor) -> int | None:
-    """Group order; None when infinite or unknown (opaque)."""
-    if desc.kind == "Z2":
-        return 2
-    if desc.kind == "cyclic":
-        return desc.modulus
-    if desc.kind == "table":
-        return desc.table.order
-    return None
-
-
-def is_finite(desc: GroupDescriptor):
-    """True/False for concrete descriptors, None for opaque ones."""
-    if desc.kind in ("Z2", "cyclic", "table"):
-        return True
-    if desc.kind == "Z":
-        return False
-    return None
-
-
-def is_z2(desc: GroupDescriptor) -> str:
-    """Tri-state: does the descriptor denote the group of order 2?"""
-    if desc.kind == "opaque":
-        return UNKNOWN
-    return YES if order_of(desc) == 2 else NO
-
-
-def arithmetic(desc: GroupDescriptor) -> _Factor:
-    """The group law of a vertex group: a table, Z/n mod n (no table), Z on
-    exponents, or a factor that rejects every element (opaque)."""
-    if desc.kind == "Z":
-        return _IntFactor(None)
-    if desc.kind in ("Z2", "cyclic"):
-        return _CyclicFactor(order_of(desc))
-    if desc.kind == "table":
-        return desc.table
-    return _OpaqueFactor(None)
-
-
-def quotient_flags(desc: GroupDescriptor) -> QuotientFlags:
-    """Normalize a descriptor to flags about its central quotient.
-
-    Concrete finite groups and the infinite cyclic group have finite (indeed
-    trivial, for the latter) central quotients; opaque flags pass through.
-    """
-    if desc.kind == "opaque":
-        return desc.flags
-    return FINITE_QUOTIENT_FLAGS

@@ -1,4 +1,4 @@
-"""A simplicial graph together with one group descriptor per vertex."""
+"""A simplicial graph together with one vertex group per vertex."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from .groups import GpkitError, GroupDescriptor
 class LabeledGraph:
     """The defining data of a graph product: graph plus vertex-group labels.
 
-    labels[i] belongs to graph.vertices[i].
+    labels[i] belongs to graph.vertices[i]; each is a non-trivial
+    GroupDescriptor, which is also the group law words at that vertex use.
     """
 
     graph: SimplicialGraph
@@ -24,6 +25,12 @@ class LabeledGraph:
             raise GpkitError("labeled graphs must have at least one vertex")
         if len(self.labels) != len(self.graph.vertices):
             raise GpkitError("one descriptor per vertex required")
+        for v, d in zip(self.graph.vertices, self.labels):
+            if not isinstance(d, GroupDescriptor):
+                raise GpkitError(f"label of vertex {v!r} is a {type(d).__name__}, "
+                                 "not a GroupDescriptor")
+            if d.order is not None and d.order < 2:
+                raise GpkitError(f"vertex {v!r}: a vertex group needs order >= 2, got {d.order}")
 
     def label(self, v: str) -> GroupDescriptor:
         return self.labels[self.graph.index(v)]

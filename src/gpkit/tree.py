@@ -37,14 +37,7 @@ from .groups import (
     subgroup_closure,
 )
 from .labeled import LabeledGraph
-from .words import (
-    IDENTITY,
-    BadSyllable,
-    NormalWord,
-    SameVertex,
-    Syllable,
-    VerticesAdjacent,
-)
+from .words import IDENTITY, BadSyllable, NormalWord, Syllable, require_free_pair
 
 
 class NotGenerating(GpkitError):
@@ -90,29 +83,23 @@ class FreeProduct:
         return self.ctx.graph.vertices
 
     def factor(self, side: str):
-        """The word engine's factor for `side`; GpkitError unless it is finite."""
-        f = self.ctx.word_tables.factors[self.sides.index(side)]
+        """The vertex group at `side`; GpkitError unless it is finite."""
+        f = self.ctx.label(side)
         if f.order is None:
-            raise GpkitError(f"descriptor kind {self.ctx.label(side).kind!r} has no finite table")
+            raise GpkitError(f"descriptor kind {f.kind!r} has no finite table")
         return f
 
     @cached_property
     def _arith(self):
-        """Products and inverses of the two factors by side index, from the
-        word engine: (mul, inv), each a pair of functions."""
-        factors = self.ctx.word_tables.factors
-        return tuple(f.mul for f in factors), tuple(f.inv for f in factors)
+        """Products and inverses of the two factors by side index: (mul, inv),
+        each a pair of functions."""
+        labels = self.ctx.labels
+        return tuple(f.mul for f in labels), tuple(f.inv for f in labels)
 
 
 def free_product(ctx: LabeledGraph, u: str, v: str) -> FreeProduct:
     """Extract the free-product context of two non-adjacent vertices of ctx."""
-    if u == v:
-        raise SameVertex(f"need two distinct vertices, got {u!r} twice")
-    if u not in ctx.graph or v not in ctx.graph:
-        missing = u if u not in ctx.graph else v
-        raise BadSyllable(missing, 0, "unknown vertex")
-    if ctx.graph.has_edge(u, v):
-        raise VerticesAdjacent(f"vertices {u!r} and {v!r} are adjacent")
+    require_free_pair(ctx, u, v)
     sub = graph((u, v))
     return FreeProduct(LabeledGraph(sub, (ctx.label(u), ctx.label(v))))
 
@@ -191,7 +178,7 @@ def _letters(fp: FreeProduct, w: NormalWord) -> tuple:
     """w as an alternating word; any syllable sequence over the two sides is
     multiplied out, and a syllable off them is a BadSyllable."""
     index = fp.ctx.word_tables.index
-    factors = fp.ctx.word_tables.factors
+    factors = fp.ctx.labels
     out = []
     for syl in w.syllables:
         s = index.get(syl.vertex)

@@ -18,9 +18,10 @@ elements have equal canonical words.  normal_form finds it in one pass:
   syllables free to move never share a vertex, so keys never tie.
 
 L syllables over n vertices cost O(L*n + L log L).  Vertex groups must be
-finite tables, finite cyclic groups (mod-n arithmetic) or the infinite cyclic
+finite tables, finite cyclic groups (addition mod n) or the infinite cyclic
 group (elements are then non-zero exponents); a syllable on an opaque one is
-rejected.  Their group laws are the factors of `groups.arithmetic`.
+rejected.  Each vertex's label is its group law: syllables are checked,
+multiplied and inverted by `ctx.labels[i].valid`, `.mul` and `.inv`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .groups import GpkitError, arithmetic
+from .groups import GpkitError
 from .labeled import LabeledGraph
 
 
@@ -79,7 +80,6 @@ class WordTables:
         g = ctx.graph
         self.names = g.vertices
         self.index = {v: i for i, v in enumerate(g.vertices)}
-        self.factors = tuple(arithmetic(d) for d in ctx.labels)
         # noncommuting[i]: vertices whose syllables do not commute with i's, i included
         self.noncommuting = tuple(
             tuple(j for j, u in enumerate(g.vertices) if not g.has_edge(u, v))
@@ -93,15 +93,15 @@ def normal_form(raw, ctx: LabeledGraph) -> NormalWord:
     Raises BadSyllable on unknown vertices or out-of-range elements.
     """
     t = ctx.word_tables
-    index, factors, noncommuting = t.index, t.factors, t.noncommuting
+    index, noncommuting, labels = t.index, t.noncommuting, ctx.labels
     verts, elems = [], []  # elems[p] == 0: cancelled by a merge
-    stacks = [[] for _ in factors]
+    stacks = [[] for _ in labels]
     for s in raw:
         v = index.get(s.vertex)
         if v is None:
             raise BadSyllable(s.vertex, s.element, "unknown vertex")
         e = s.element
-        f = factors[v]
+        f = labels[v]
         if not f.valid(e):
             raise BadSyllable(s.vertex, e, "element outside the vertex group")
         if e == 0:
@@ -123,7 +123,7 @@ def normal_form(raw, ctx: LabeledGraph) -> NormalWord:
 
     succ = [[] for _ in verts]
     indeg = [0] * len(verts)
-    last = [-1] * len(factors)
+    last = [-1] * len(labels)
     ready = []
     for p, v in enumerate(verts):
         if elems[p] == 0:
@@ -155,9 +155,23 @@ def multiply(w1: NormalWord, w2: NormalWord, ctx: LabeledGraph) -> NormalWord:
 
 def invert(w: NormalWord, ctx: LabeledGraph) -> NormalWord:
     t = ctx.word_tables
-    rev = [Syllable(s.vertex, t.factors[t.index[s.vertex]].inv(s.element))
+    rev = [Syllable(s.vertex, ctx.labels[t.index[s.vertex]].inv(s.element))
            for s in reversed(w.syllables)]
     return normal_form(rev, ctx)
+
+
+def require_free_pair(ctx: LabeledGraph, u: str, v: str) -> None:
+    """Check that u and v are two distinct, non-adjacent vertices of ctx, so
+    that their groups generate a free product; the first fault found raises
+    BadSyllable (unknown vertex), SameVertex or VerticesAdjacent."""
+    g = ctx.graph
+    for x in (u, v):
+        if x not in g:
+            raise BadSyllable(x, 0, "unknown vertex")
+    if u == v:
+        raise SameVertex(f"need two distinct vertices, got {u!r} twice")
+    if g.has_edge(u, v):
+        raise VerticesAdjacent(f"vertices {u!r} and {v!r} are adjacent")
 
 
 def retract(w: NormalWord, u: str, v: str, ctx: LabeledGraph) -> NormalWord:
@@ -166,12 +180,6 @@ def retract(w: NormalWord, u: str, v: str, ctx: LabeledGraph) -> NormalWord:
     Kills every syllable on other vertices, then renormalizes.  This is a group
     homomorphism precisely because u and v are required to be non-adjacent.
     """
-    g = ctx.graph
-    if u not in g or v not in g:
-        raise BadSyllable(u if u not in g else v, 0, "unknown vertex")
-    if u == v:
-        raise SameVertex(f"retraction needs two distinct vertices, got {u!r} twice")
-    if g.has_edge(u, v):
-        raise VerticesAdjacent(f"vertices {u!r} and {v!r} are adjacent")
+    require_free_pair(ctx, u, v)
     kept = [s for s in w.syllables if s.vertex in (u, v)]
     return normal_form(kept, ctx)

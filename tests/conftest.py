@@ -5,7 +5,6 @@ import pytest
 from hypothesis import strategies as st
 
 from gpkit import cyclic, graph, table_group, z2
-from gpkit.groups import order_of
 from gpkit.labeled import LabeledGraph
 from gpkit.words import Syllable, normal_form
 
@@ -49,7 +48,7 @@ def words_st(draw, ctx, max_len=6):
     sylls = []
     for _ in range(n):
         v = draw(st.sampled_from(ctx.graph.vertices))
-        e = draw(st.integers(1, order_of(ctx.label(v)) - 1))
+        e = draw(st.integers(1, ctx.label(v).order - 1))
         sylls.append(Syllable(v, e))
     return normal_form(sylls, ctx)
 

@@ -25,7 +25,6 @@ from gpkit.graphs import (
     _names,
     find_sil,
     girth,
-    induced,
     matches_complete_join_pairs,
 )
 from gpkit.groups import (
@@ -39,7 +38,6 @@ from gpkit.groups import (
     OrderTooLarge,
     automorphisms,
     minimal_generating_set,
-    order_of,
 )
 from gpkit.labeled import LabeledGraph
 from gpkit.tree import (
@@ -245,12 +243,10 @@ def intercalate_swaps(table: MultTable, rng, count: int):
 
 def concrete_table(desc: GroupDescriptor) -> MultTable:
     """Multiplication table for a finite concrete descriptor."""
-    if desc.kind == "Z2":
-        return cyclic_table(2)
     if desc.kind == "cyclic":
-        return cyclic_table(desc.modulus)
+        return cyclic_table(desc.order)
     if desc.kind == "table":
-        return desc.table
+        return desc
     raise GpkitError(f"descriptor kind {desc.kind!r} has no finite table")
 
 
@@ -415,7 +411,7 @@ def commutes_with_all_generators(w: NormalWord, ctx: LabeledGraph) -> bool:
     Requires all vertex groups finite.
     """
     for v, desc in zip(ctx.graph.vertices, ctx.labels):
-        order = order_of(desc)
+        order = desc.order
         if order is None:
             raise ValueError("centrality scan requires finite vertex groups")
         for e in range(1, order):
@@ -441,7 +437,7 @@ class WordSystem:
         self.alphabet = [
             (v, e)
             for v in ctx.graph.vertices
-            for e in range(1, order_of(ctx.label(v)))
+            for e in range(1, ctx.label(v).order)
         ]
 
     def moves(self, word):
@@ -1023,10 +1019,8 @@ def reference_is_molecular(g: SimplicialGraph) -> bool:
 # Graph-file serializer
 
 def _descriptor_token(desc: GroupDescriptor) -> str:
-    if desc.kind == "Z2":
-        return "Z2"
     if desc.kind == "cyclic":
-        return f"Z/{desc.modulus}"
+        return "Z2" if desc.order == 2 else f"Z/{desc.order}"
     if desc.kind == "Z":
         return "Z"
     if desc.kind == "table":

@@ -15,26 +15,18 @@ from pathlib import Path
 import pytest
 
 import gpkit.classify as cls
-from gpkit import cyclic, graph, infinite_cyclic, table_group, uniform, z2
+from gpkit import cyclic, infinite_cyclic, table_group, uniform, z2
 from gpkit.cli import CommandRequest, run
 from gpkit.graphs import find_sil, induced, join_decompose
-from gpkit.groups import YES, order_of
+from gpkit.groups import YES
 from gpkit.labeled import LabeledGraph
-from gpkit.tree import (
-    act,
-    base,
-    malnormality_check,
-    translation_data,
-    tree_distance,
-    wpd_certificate,
-)
+from gpkit.tree import act, malnormality_check, tree_distance, wpd_certificate
 from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply, normal_form, retract
 
 from .helpers import (
     WordSystem,
     all_graphs,
     classify_racg,
-    concrete_table,
     equality_classes,
     fp_of,
     graph_iso_classes,
@@ -205,7 +197,7 @@ def test_criterion_5_equivalence_consistency():
         # independent route: virtual abelianness from an explicit partition of the core
         core = join_decompose(g).core
         assert summary.virtually_abelian == (
-            all(order_of(ctx.label(v)) == 2 for v in core)
+            all(ctx.label(v).order == 2 for v in core)
             and reference_join_pairs_partition(induced(g, core)) is not None
         )
     _passed(5, f"{instances} sampled instances on <= 5 vertices, exact agreement")
@@ -281,7 +273,7 @@ def _rand_raw_word(rng, ctx, max_len=6):
         if desc.kind == "Z":
             e = rng.choice((-3, -2, -1, 1, 2, 3))
         else:
-            e = rng.randint(1, concrete_table(desc).order - 1)
+            e = rng.randint(1, desc.order - 1)
         sylls.append(Syllable(v, e))
     return sylls
 

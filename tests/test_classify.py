@@ -10,7 +10,7 @@ from gpkit.groups import NO, UNKNOWN, YES, QuotientFlags
 from gpkit.labeled import LabeledGraph
 
 from .conftest import contexts_st
-from .helpers import all_graphs, classify_racg, random_graph, relabel, s3_table, sil_implies_vast
+from .helpers import all_graphs, classify_racg, relabel, s3_table, sil_implies_vast
 
 S3 = s3_table()
 
@@ -59,6 +59,17 @@ def test_classify_vastness_unknown_does_not_mask_yes():
     g = graph("abc")
     ctx = ctx_of(g, opaque(QuotientFlags()), cyclic(3), z2())
     assert cls.classify_vastness(ctx, cls.SQ_UNIVERSAL).value == YES
+
+
+def test_classify_vastness_opaque_core_vertex_stays_unknown():
+    # an opaque core vertex has no known order: it may or may not be Z2
+    for ctx in (ctx_of(graph("ab"), opaque(QuotientFlags()), z2()),
+                ctx_of(graph("abcd", ["ab", "bc", "cd", "da"]),
+                       opaque(QuotientFlags()), z2(), z2(), z2())):
+        for prop in cls.ADMISSIBLE_PROPERTIES:
+            v = cls.classify_vastness(ctx, prop)
+            assert v.value == UNKNOWN
+            assert "opaque labels leave a deciding clause open" in v.reasons
 
 
 def test_custom_property_needs_flag():

@@ -9,7 +9,7 @@ import gpkit.classify as cls
 import gpkit.cli as cli
 import gpkit.groups as groups
 import gpkit.tree as tree
-from gpkit import cyclic, graph, uniform, z2
+from gpkit import graph, uniform, z2
 from gpkit.cli import (
     CommandRequest,
     DuplicateVertex,
@@ -25,7 +25,6 @@ from gpkit.cli import (
     run,
 )
 from gpkit.groups import NotAGroup
-from gpkit.labeled import LabeledGraph
 from gpkit.words import BadSyllable
 
 from .helpers import d4_table, random_graph, serialize_graph_file
@@ -37,8 +36,9 @@ def test_parse_graph_file_basic():
     ctx = parse_graph_file("vertex a Z2\nvertex b Z/3\nedge a b\n")
     assert ctx.graph.vertices == ("a", "b")
     assert ctx.graph.has_edge("a", "b")
-    assert ctx.label("a").kind == "Z2"
-    assert ctx.label("b").modulus == 3
+    assert ctx.label("a") == z2()
+    assert ctx.label("b").kind == "cyclic"
+    assert ctx.label("b").order == 3
 
 
 def test_parse_graph_file_errors():
@@ -71,7 +71,8 @@ def test_parse_graph_file_errors():
 
 def test_parse_table_descriptor():
     ctx = parse_graph_file("vertex a table:s3.tbl\n", base_dir=FIXTURES)
-    assert ctx.label("a").table.order == 6
+    assert ctx.label("a").kind == "table"
+    assert ctx.label("a").order == 6
 
 
 def test_parse_opaque_descriptor():
@@ -394,6 +395,16 @@ def test_each_table_file_is_validated_once_per_graph_file(tmp_path, monkeypatch)
     # the shared descriptors last only for one parse
     parse_graph_file(text, base_dir=tmp_path)
     assert validated == [6, 8, 6, 8]
+
+
+def test_order_one_table_file_exits_one_with_one_line(tmp_path, capsys):
+    (tmp_path / "one.tbl").write_text("1\n0\n")
+    path = tmp_path / "one.graph"
+    path.write_text("vertex a Z2\nvertex b table:one.tbl\n")
+    for cmd in ("classify", "graph-info"):
+        assert main([cmd, str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "GpkitError: vertex 'b': a vertex group needs order >= 2, got 1\n")
 
 
 def test_non_group_table_named_twice_fails_on_its_first_use(tmp_path, capsys):

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import gpkit
+from gpkit import graph
 from gpkit.cli import parse_table_file
 from gpkit.groups import (
     FINITE_QUOTIENT_FLAGS,
@@ -20,22 +21,18 @@ from gpkit.groups import (
     NotAGroup,
     OrderTooLarge,
     QuotientFlags,
-    arithmetic,
     automorphisms,
     cyclic,
     identity_perm,
     infinite_cyclic,
-    is_finite,
-    is_z2,
     minimal_generating_set,
     opaque,
-    order_of,
-    quotient_flags,
     subgroup_closure,
     table_group,
     validate,
     z2,
 )
+from gpkit.labeled import LabeledGraph
 
 from .helpers import (
     center,
@@ -243,14 +240,14 @@ def test_automorphisms_match_reference():
     expected = {name: reference_automorphisms(t, max_order=48) for name, t in groups.items()}
     for name, t in groups.items():
         assert automorphisms(t, max_order=48) == expected[name], name
-    for n in range(2, 49):  # Z/n on the word engine's factor, which has no table
-        assert automorphisms(arithmetic(cyclic(n)), max_order=48) == expected[f"Z/{n}"], n
+    for n in range(2, 49):  # Z/n computes mod n, with no table
+        assert automorphisms(cyclic(n), max_order=48) == expected[f"Z/{n}"], n
 
 
 def test_automorphism_search_tries_only_images_of_matching_order():
     # 1 generates Z/48 and only the 16 units share its order; each is walked
     # once over the 48 elements, two products a step.
-    f = arithmetic(cyclic(48))
+    f = cyclic(48)
     products = 0
 
     def mul(a, b):
@@ -282,7 +279,7 @@ def test_subgroup_closure_matches_reference():
 def test_subgroup_closure_walks_the_cayley_graph_once():
     # one product per element reached and generator; closing under every
     # product of a new element with each one seen took 4,170
-    f = arithmetic(cyclic(48))
+    f = cyclic(48)
     products = 0
 
     def mul(a, b):
@@ -295,24 +292,23 @@ def test_subgroup_closure_walks_the_cayley_graph_once():
 
 
 def test_descriptor_validation():
-    with pytest.raises(GpkitError):
-        cyclic(1)
-    with pytest.raises(GpkitError):
-        GroupDescriptor("table", table=validate([[0]]))
+    # a trivial group or a non-descriptor is refused where it becomes a label
+    for label in (cyclic(1), validate([[0]]), table_group(validate([[0]])), "Z2"):
+        with pytest.raises(GpkitError):
+            LabeledGraph(graph("ab"), (z2(), label))
 
 
 def test_descriptor_queries(s3):
-    assert order_of(z2()) == 2
-    assert order_of(cyclic(5)) == 5
-    assert order_of(infinite_cyclic()) is None
-    assert is_finite(infinite_cyclic()) is False
-    assert is_finite(opaque(QuotientFlags())) is None
-    assert is_z2(z2()) == YES
-    assert is_z2(cyclic(2)) == YES
-    assert is_z2(table_group(cyclic_table(2))) == YES
-    assert is_z2(cyclic(3)) == NO
-    assert is_z2(infinite_cyclic()) == NO
-    assert is_z2(opaque(QuotientFlags())) == UNKNOWN
+    assert z2().order == 2
+    assert cyclic(5).order == 5
+    assert infinite_cyclic().order is None
+    assert infinite_cyclic().kind == "Z"
+    assert opaque(QuotientFlags()).order is None
+    assert opaque(QuotientFlags()).kind == "opaque"
+    assert cyclic(2).order == 2
+    assert table_group(cyclic_table(2)).order == 2
+    assert cyclic(3).order != 2
+    assert infinite_cyclic().order != 2
     assert concrete_table(cyclic(4)) == cyclic_table(4)
     assert concrete_table(table_group(s3)) == s3
     with pytest.raises(GpkitError):
@@ -320,13 +316,46 @@ def test_descriptor_queries(s3):
 
 
 def test_quotient_flags():
-    assert quotient_flags(z2()) == FINITE_QUOTIENT_FLAGS
-    assert quotient_flags(table_group(s3_table())) == QuotientFlags(
+    assert z2().flags == FINITE_QUOTIENT_FLAGS
+    assert table_group(s3_table()).flags == QuotientFlags(
         kazhdan_t=YES, sq_universal=NO, many_quasimorphisms=NO, boundedly_generated=YES
     )
-    assert quotient_flags(infinite_cyclic()) == FINITE_QUOTIENT_FLAGS
+    assert infinite_cyclic().flags == FINITE_QUOTIENT_FLAGS
     f = QuotientFlags(kazhdan_t=UNKNOWN, sq_universal=YES)
-    assert quotient_flags(opaque(f)) == f
+    assert opaque(f).flags == f
+
+
+def test_vertex_groups_are_values():
+    f = QuotientFlags(kazhdan_t=UNKNOWN, sq_universal=YES)
+    assert z2() == cyclic(2)
+    assert cyclic(3) != cyclic(4)
+    assert infinite_cyclic() == infinite_cyclic()
+    assert opaque(f) == opaque(f)
+    assert opaque(f) != opaque(QuotientFlags())
+    assert z2() != table_group(cyclic_table(2))  # labels compare by representation
+    labels = [z2(), cyclic(2), cyclic(3), cyclic(4), infinite_cyclic(), infinite_cyclic(),
+              opaque(f), opaque(f), table_group(s3_table()), table_group(s3_table(), "s3.tbl")]
+    assert all(isinstance(d, GroupDescriptor) for d in labels)
+    assert len(set(labels)) == 6
+
+
+def test_table_group_shares_the_table():
+    t = s3_table()
+    d = table_group(t, source="s3.tbl")
+    assert d.product is t.product
+    assert d == t
+    assert (d.source, t.source) == ("s3.tbl", None)
+
+
+def test_vertex_group_laws():
+    assert (cyclic(5).mul(3, 4), cyclic(5).inv(2), cyclic(5).element_order(2)) == (2, 3, 5)
+    assert (infinite_cyclic().mul(3, -7), infinite_cyclic().inv(4)) == (-4, -4)
+    assert infinite_cyclic().valid(-10**9) and not infinite_cyclic().valid(1.5)
+    assert cyclic(5).valid(4) and not cyclic(5).valid(5) and not cyclic(5).valid(-1)
+    s3 = s3_table()
+    assert all(s3.mul(a, s3.inv(a)) == 0 for a in range(6))
+    with pytest.raises(GpkitError, match="not computable"):
+        opaque(QuotientFlags()).valid(0)
 
 
 def test_flag_values_checked():

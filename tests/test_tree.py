@@ -22,7 +22,17 @@ from gpkit.tree import (
     tree_distance,
     wpd_certificate,
 )
-from gpkit.words import IDENTITY, NormalWord, Syllable, invert, multiply
+from gpkit.words import (
+    IDENTITY,
+    BadSyllable,
+    NormalWord,
+    SameVertex,
+    Syllable,
+    VerticesAdjacent,
+    invert,
+    multiply,
+    retract,
+)
 
 from .helpers import (
     GENERATES_ALL,
@@ -79,9 +89,10 @@ def rand_element(fp, rng, max_len=6):
 def test_factor_is_the_word_engine_factor():
     s3 = s3_table()
     fp = fp_of(table_group(s3), cyclic(4))
-    for i, side in enumerate(fp.sides):
-        assert fp.factor(side) is fp.ctx.word_tables.factors[i]
-    assert fp.factor("a") is s3
+    for side in fp.sides:
+        assert fp.factor(side) is fp.ctx.label(side)
+    assert fp.factor("a") == s3
+    assert fp.factor("a").product is s3.product
     assert not hasattr(fp.factor("b"), "product")  # Z/4 computes mod 4, with no table
 
 
@@ -95,6 +106,18 @@ def test_free_product_requires_non_adjacent_pair():
         free_product(ctx, "a", "a")
     with pytest.raises(GpkitError):
         FreeProduct(LabeledGraph(graph("ab", ["ab"]), (z2(), z2())))
+
+
+@pytest.mark.parametrize("u, v, error", [
+    ("a", "a", SameVertex), ("a", "b", VerticesAdjacent), ("a", "zz", BadSyllable),
+    ("zz", "a", BadSyllable), ("zz", "zz", BadSyllable)])
+def test_free_product_and_retract_check_a_pair_alike(u, v, error):
+    ctx = LabeledGraph(graph("abc", ["ab"]), (z2(), z2(), cyclic(3)))
+    with pytest.raises(error) as by_tree:
+        free_product(ctx, u, v)
+    with pytest.raises(error) as by_words:
+        retract(IDENTITY, u, v, ctx)
+    assert str(by_tree.value) == str(by_words.value)
 
 
 def test_vertex_of_examples():

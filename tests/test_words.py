@@ -6,12 +6,11 @@ from hypothesis import given, settings
 import gpkit.groups
 from gpkit import cyclic, graph, infinite_cyclic, opaque, table_group, uniform, z2
 from gpkit.graphs import join_decompose
-from gpkit.groups import QuotientFlags, order_of
+from gpkit.groups import QuotientFlags
 from gpkit.labeled import LabeledGraph
 from gpkit.words import (
     IDENTITY,
     BadSyllable,
-    NormalWord,
     SameVertex,
     Syllable,
     VerticesAdjacent,
@@ -21,7 +20,7 @@ from gpkit.words import (
     retract,
 )
 
-from .conftest import context_and_words_st, contexts_st
+from .conftest import context_and_words_st
 from .helpers import (
     WordSystem,
     all_graphs,
@@ -231,7 +230,7 @@ def _random_syllable(rng, ctx):
     desc = ctx.label(v)
     if desc.kind == "Z":
         return Syllable(v, rng.randint(-3, 3))
-    return Syllable(v, rng.randrange(order_of(desc)))
+    return Syllable(v, rng.randrange(desc.order))
 
 
 def test_normal_form_matches_reference():
