@@ -1,35 +1,45 @@
 #!/usr/bin/env python3
-"""Scaling record for the graph layer and table validation: graph-file
-parsing, graph construction, `is_molecular`, `find_sil`, `classify` and the
-`graph-info` command on growing all-Z2 graphs, and `groups.validate` on
-permutation-group tables, for two or more source checkouts in one process.
+"""Scaling record for one layer of gpkit, for two or more source checkouts in
+one process.
 
-    python3 scripts/bench_graphs.py parent=PARENT_ROOT change=.
+    python3 scripts/bench_graphs.py [--layer graphs|words] parent=PARENT_ROOT change=.
 
 Each LABEL=ROOT names a source checkout; its `src/gpkit` is loaded under the
 module name `gpkit_<LABEL>` (every import inside the package is relative), so
 the checkouts run side by side.  The labels take turns call by call, the
 first label alternating too, so drift of the machine's speed hits every label
-alike.  The numbers are written to `BENCH_graphs.json` at the root of the
-checkout holding this script, one run per label.
+alike.  Each timing is the best of up to five calls per label.  The numbers
+are written to `BENCH_<layer>.json` at the root of the checkout holding this
+script, one run per label.
 
-Graph families: random graphs with round(p * n(n-1)/2) edges at p = 0.5
-(seeded), and rings with one chord spanning four steps (girth 5, so
-`is_molecular` runs its whole girth test and there is no SIL).  n = 40 to
-1280.  The "parse" row times `cli.parse_graph_file` on the graph's file text
-(one `vertex` line per vertex, one `edge` line per edge).  The "build" rows
-time `graphs.graph(names, pairs)` from the same prepared names and vertex-name
+`--layer graphs` (the default): graph-file parsing, graph construction,
+`is_molecular`, `find_sil`, `classify` and the `graph-info` command on growing
+all-Z2 graphs, and `groups.validate` on permutation-group tables.  Graph
+families: random graphs with round(p * n(n-1)/2) edges at p = 0.5 (seeded),
+and rings with one chord spanning four steps (girth 5, so `is_molecular` runs
+its whole girth test and there is no SIL).  n = 40 to 1280.  The "parse" row
+times `cli.parse_graph_file` on the graph's file text (one `vertex` line per
+vertex, one `edge` line per edge).  The "build" rows time
+`graphs.graph(names, pairs)` from the same prepared names and vertex-name
 pairs, alone or followed by one function, so adjacency is paid inside every
 row however the graph stores it.  The "graph-info" row runs
 `cli.main(["graph-info", FILE, "--json"])` on the same text written to a file,
-with stdout captured.  Each timing is the best of up to five calls per label.
-Once a label's call takes longer than BUDGET_S, its larger n of that row and
-family are recorded as null: at the parent commit of `BENCH_graphs.json`,
-`find_sil` floods once per non-adjacent pair and passes the budget at n=320.
+with stdout captured.  Once a label's call takes longer than BUDGET_S, its
+larger n of that row and family are recorded as null: at the parent commit of
+`BENCH_graphs.json`, `find_sil` floods once per non-adjacent pair and passes
+the budget at n=320.  The "validate" row times `groups.validate` on the
+multiplication tables of S4 (order 24), Z2 x S4 (48), S5 (120) and PSL(2,7)
+(168, acting on the projective line over F7), each built here from
+permutation generators.
 
-The "validate" row times `groups.validate` on the multiplication tables of
-S4 (order 24), Z2 x S4 (48), S5 (120) and PSL(2,7) (168, acting on the
-projective line over F7), each built here from permutation generators.
+`--layer words`: the word engine on seeded random graphs G(n, p) with
+round(p * n(n-1)/2) edges, every vertex labelled Z/3, at n = 8, 80, 640 and
+p = 0.05, 0.5.  The "normal_form" rows time `words.normal_form` on a list of
+L random syllables (uniform vertex, element 1 or 2), L = 100, 1,000, 10,000;
+on 8 vertices most syllables merge.  The "L=400" rows time `multiply`,
+`invert` and `retract` (onto the first non-adjacent pair) on words each
+label's own `normal_form` made from 400 random syllables.  Every label's
+result is checked against the first label's, syllable for syllable.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ import tempfile
 import time
 from pathlib import Path
 
-OUT = Path(__file__).resolve().parent.parent / "BENCH_graphs.json"
+ROOT = Path(__file__).resolve().parent.parent
 SIZES = (40, 80, 160, 320, 640, 1280)
 BUDGET_S = 1.0
 REPEATS = 5
@@ -57,10 +67,10 @@ DENSITY = 0.5
 CHORD_SPAN = 4
 
 
-def random_family(n):
-    rng = random.Random(f"bench-graphs:{n}")
+def random_family(n, p=DENSITY):
+    rng = random.Random(f"bench-graphs:{n}" if p == DENSITY else f"bench-graphs:{n}:{p}")
     pairs = list(itertools.combinations(range(n), 2))
-    return sorted(rng.sample(pairs, round(DENSITY * len(pairs))))
+    return sorted(rng.sample(pairs, round(p * len(pairs))))
 
 
 def ring_family(n):
@@ -196,11 +206,81 @@ def measure(gpkits, workdir):
     return results
 
 
+WORD_SIZES = (8, 80, 640)
+WORD_DENSITIES = (0.05, 0.5)
+WORD_LENGTHS = (100, 1000, 10000)
+OP_LENGTH = 400
+
+
+def word_inputs(gp, n, p):
+    """The Z/3-labelled G(n, p) and a seeded syllable list maker for it."""
+    names = tuple(f"v{i}" for i in range(n))
+    g = gp.graph(names, [(names[a], names[b]) for a, b in random_family(n, p)])
+    ctx = gp.uniform(g, gp.cyclic(3))
+    rng = random.Random(f"bench-words:{n}:{p}")
+
+    def raw(length):
+        return [gp.Syllable(names[rng.randrange(n)], rng.randrange(1, 3)) for _ in range(length)]
+    pair = next((a, b) for a, b in itertools.combinations(names, 2) if not g.has_edge(a, b))
+    return ctx, raw, pair
+
+
+def timed_rows(gpkits, calls, row):
+    """alternate() over `calls`, the results checked against the first label's."""
+    got = {}
+    took = alternate({label: (lambda label=label, call=call: got.__setitem__(label, call()))
+                      for label, call in calls.items()})
+    first = [(s.vertex, s.element) for s in got[next(iter(gpkits))].syllables]
+    for label in gpkits:
+        assert [(s.vertex, s.element) for s in got[label].syllables] == first, (label, row)
+    return took
+
+
+def measure_words(gpkits):
+    results = {label: {"normal_form": {}, f"L={OP_LENGTH}": {}} for label in gpkits}
+    for n in WORD_SIZES:
+        for p in WORD_DENSITIES:
+            key = f"n={n} p={p}"
+            inputs = {label: word_inputs(gp, n, p) for label, gp in gpkits.items()}
+            for label in gpkits:
+                results[label]["normal_form"][key] = {}
+            for length in WORD_LENGTHS:
+                raws = {label: inputs[label][1](length) for label in gpkits}
+                took = timed_rows(gpkits, {label: (lambda gp=gp, label=label: gp.normal_form(
+                    raws[label], inputs[label][0])) for label, gp in gpkits.items()}, key)
+                for label in gpkits:
+                    results[label]["normal_form"][key][str(length)] = round(took[label], 6)
+                print(f"{'normal_form':>12}  {key:<14} L={length:<6} " + "  ".join(
+                    f"{label} {took[label] / length * 1e6:.2f} us/syllable" for label in gpkits),
+                    flush=True)
+            words = {}
+            for label, gp in gpkits.items():
+                ctx, raw, pair = inputs[label]
+                words[label] = (gp.normal_form(raw(OP_LENGTH), ctx),
+                                gp.normal_form(raw(OP_LENGTH), ctx), ctx, pair)
+            ops = {
+                "multiply": lambda gp, a, b, ctx, pair: gp.multiply(a, b, ctx),
+                "invert": lambda gp, a, b, ctx, pair: gp.invert(a, ctx),
+                "retract": lambda gp, a, b, ctx, pair: gp.retract(a, *pair, ctx),
+            }
+            for op, fn in ops.items():
+                took = timed_rows(gpkits, {label: (lambda gp=gp, w=words[label], fn=fn: fn(gp, *w))
+                                           for label, gp in gpkits.items()}, (op, key))
+                for label in gpkits:
+                    row = results[label][f"L={OP_LENGTH}"].setdefault(op, {})
+                    row[key] = round(took[label], 6)
+                print(f"{op:>12}  {key:<14} L={OP_LENGTH:<6} " + "  ".join(
+                    f"{label} {took[label] * 1e3:.3f} ms" for label in gpkits), flush=True)
+    return results
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Time graph-file parsing, graph construction alone and followed by "
-                    "is_molecular, find_sil or classify, graph-info, and table validation, "
+        description="Time one layer of gpkit (graphs: graph-file parsing, graph construction "
+                    "alone and followed by is_molecular, find_sil or classify, graph-info, and "
+                    "table validation; words: normal_form, multiply, invert and retract), "
                     "alternating source checkouts call by call in one process.")
+    parser.add_argument("--layer", choices=("graphs", "words"), default="graphs")
     parser.add_argument("roots", nargs="+", metavar="LABEL=ROOT",
                         help="a label and the source checkout whose src/ holds its gpkit")
     args = parser.parse_args(argv)
@@ -211,19 +291,28 @@ def main(argv=None):
             parser.error(f"expected distinct LABEL=ROOT with LABEL an identifier, got {item!r}")
         roots[label] = Path(root)
     gpkits = {label: load(label, root) for label, root in roots.items()}
-    with tempfile.TemporaryDirectory() as workdir:
-        results = measure(gpkits, Path(workdir))
-    record = {
-        "harness": "scripts/bench_graphs.py",
-        "unit": "seconds, best of up to 5 calls per label, labels alternating call by call "
-                "in one process; null = skipped after a call over the budget",
-        "sizes": list(SIZES),
-        "validate_tables": {"24": "S4", "48": "Z2 x S4", "120": "S5", "168": "PSL(2,7)"},
-        "runs": {label: {"python": platform.python_version(), "cpus": os.cpu_count(),
-                         "budget_s": BUDGET_S, "results": results[label]}
-                 for label in gpkits},
-    }
-    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    unit = ("seconds, best of up to 5 calls per label, labels alternating call by call "
+            "in one process")
+    if args.layer == "words":
+        results = measure_words(gpkits)
+        record = {"harness": "scripts/bench_graphs.py --layer words", "unit": unit,
+                  "labels": "Z/3 on every vertex", "sizes": list(WORD_SIZES),
+                  "densities": list(WORD_DENSITIES), "lengths": list(WORD_LENGTHS)}
+        runs = {label: {"python": platform.python_version(), "cpus": os.cpu_count(),
+                        "results": results[label]} for label in gpkits}
+    else:
+        with tempfile.TemporaryDirectory() as workdir:
+            results = measure(gpkits, Path(workdir))
+        record = {
+            "harness": "scripts/bench_graphs.py",
+            "unit": unit + "; null = skipped after a call over the budget",
+            "sizes": list(SIZES),
+            "validate_tables": {"24": "S4", "48": "Z2 x S4", "120": "S5", "168": "PSL(2,7)"},
+        }
+        runs = {label: {"python": platform.python_version(), "cpus": os.cpu_count(),
+                        "budget_s": BUDGET_S, "results": results[label]} for label in gpkits}
+    record["runs"] = runs
+    (ROOT / f"BENCH_{args.layer}.json").write_text(json.dumps(record, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .graphs import (
     join_pairs_partition,
     matches_complete_join_pairs,
 )
-from .groups import NO, UNKNOWN, YES, GpkitError
+from .groups import NO, UNKNOWN, YES, GpkitError, NonFiniteLabel
 from .labeled import LabeledGraph
 
 SQ_UNIVERSAL = "sq_universal"
@@ -35,10 +35,6 @@ _PROPERTY_TEXT = {
 }
 
 
-class NonFiniteLabel(GpkitError):
-    """Operation restricted to all-finite vertex groups got something else."""
-
-
 class NotMolecular(GpkitError):
     """The molecular-graph verdict applies to molecular graphs, single vertices
     and single edges only."""
@@ -49,21 +45,13 @@ def tri_not(v: str) -> str:
 
 
 def tri_or(values) -> str:
-    values = list(values)
-    if YES in values:
-        return YES
-    if UNKNOWN in values:
-        return UNKNOWN
-    return NO
+    values = set(values)
+    return YES if YES in values else UNKNOWN if UNKNOWN in values else NO
 
 
 def tri_and(values) -> str:
-    values = list(values)
-    if NO in values:
-        return NO
-    if UNKNOWN in values:
-        return UNKNOWN
-    return YES
+    values = set(values)
+    return NO if NO in values else UNKNOWN if UNKNOWN in values else YES
 
 
 @dataclass(frozen=True)
@@ -153,10 +141,8 @@ def classify_vastness(ctx: LabeledGraph, prop: str, assume_admissible: bool = Fa
     the caller then vouches for the closure conditions the schema needs.
     """
     if prop not in ADMISSIBLE_PROPERTIES and not assume_admissible:
-        raise GpkitError(
-            f"property {prop!r} is not one of {ADMISSIBLE_PROPERTIES}; "
-            "pass assume_admissible to use it anyway"
-        )
+        raise GpkitError(f"property {prop!r} is not one of {ADMISSIBLE_PROPERTIES}; "
+                         "pass assume_admissible to use it anyway")
     return _vastness(ctx, join_decompose(ctx.graph), prop)
 
 
@@ -197,10 +183,8 @@ def _vastness(ctx: LabeledGraph, jd: JoinDecomposition, prop: str) -> Verdict:
 
     value = tri_or(clause_vals)
     if value == NO:
-        reasons.append(
-            "all core vertices are order-2, no cone quotient has the property, "
-            "and the core is a join of a clique with non-adjacent pairs"
-        )
+        reasons.append("all core vertices are order-2, no cone quotient has the property, "
+                       "and the core is a join of a clique with non-adjacent pairs")
     elif value == UNKNOWN:
         reasons.append("opaque labels leave a deciding clause open")
     return Verdict(value, tuple(reasons))
@@ -212,10 +196,7 @@ def racg_large(g: SimplicialGraph) -> RacgLargeness:
     blocks = join_pairs_partition(g)
     if blocks is None:
         return RacgLargeness(True, None)
-    decomposition = tuple(
-        ("Z2", b) if len(b) == 1 else ("Dinf", b) for b in blocks
-    )
-    return RacgLargeness(False, decomposition)
+    return RacgLargeness(False, tuple(("Z2" if len(b) == 1 else "Dinf", b) for b in blocks))
 
 
 def _require_finite(ctx: LabeledGraph) -> None:
@@ -242,12 +223,9 @@ def classify_aut_t(ctx: LabeledGraph) -> Verdict:
     exactly when the graph product itself is finite, i.e. the graph is complete."""
     _require_finite(ctx)
     if is_complete(ctx.graph):
-        return Verdict(YES, (
-            "graph complete with finite vertex groups: the graph product is finite",
-        ))
-    return Verdict(NO, (
-        "graph not complete: the graph product is infinite",
-    ))
+        return Verdict(YES, ("graph complete with finite vertex groups: "
+                             "the graph product is finite",))
+    return Verdict(NO, ("graph not complete: the graph product is infinite",))
 
 
 def classify_molecular(ctx: LabeledGraph) -> Verdict:
@@ -257,26 +235,15 @@ def classify_molecular(ctx: LabeledGraph) -> Verdict:
     n = len(g.vertices)
     tiny = n == 1 or (n == 2 and g.has_edge(*g.vertices))
     if not tiny and not is_molecular(g):
-        raise NotMolecular(
-            "graph is neither molecular nor a single vertex or single edge"
-        )
+        raise NotMolecular("graph is neither molecular nor a single vertex or single edge")
     if not tiny:
-        return Verdict(NO, (
-            "molecular graph with more than one edge: no property (T)",
-        ))
-    flags = [ctx.label(v).flags.kazhdan_t for v in g.vertices]
-    value = tri_and(flags)
-    if value == YES:
-        return Verdict(YES, (
-            "single vertex or edge with property (T) central quotients",
-        ))
-    if value == NO:
-        return Verdict(NO, (
-            "some central quotient lacks property (T)",
-        ))
-    return Verdict(UNKNOWN, (
-        "property (T) of some central quotient is unknown",
-    ))
+        return Verdict(NO, ("molecular graph with more than one edge: no property (T)",))
+    value = tri_and(ctx.label(v).flags.kazhdan_t for v in g.vertices)
+    return Verdict(value, ({
+        YES: "single vertex or edge with property (T) central quotients",
+        NO: "some central quotient lacks property (T)",
+        UNKNOWN: "property (T) of some central quotient is unknown",
+    }[value],))
 
 
 def classify(ctx: LabeledGraph) -> ClassificationReport:
@@ -285,9 +252,7 @@ def classify(ctx: LabeledGraph) -> ClassificationReport:
     jd = join_decompose(ctx.graph)
     notes = []
     if any(d.kind == "opaque" for d in ctx.labels):
-        notes.append(
-            "opaque labels: finite generation and quotient flags are taken on trust"
-        )
+        notes.append("opaque labels: finite generation and quotient flags are taken on trust")
 
     property_t = classify_T(ctx)
     sq = _vastness(ctx, jd, SQ_UNIVERSAL)

@@ -70,7 +70,7 @@ def _parse_descriptor(tok: str, base_dir: Path, line_no: int,
         rel = tok[len("table:"):]
         if rel not in tables:
             try:
-                text = (base_dir / rel).read_text()
+                text = _decode((base_dir / rel).read_bytes(), f"table file {rel!r}", line_no)
             except OSError as exc:
                 raise ParseError(line_no, f"cannot read table file {rel!r}: {exc}") from None
             tables[rel] = groups.table_group(parse_table_file(text), source=rel)
@@ -78,18 +78,28 @@ def _parse_descriptor(tok: str, base_dir: Path, line_no: int,
     m = re.fullmatch(r"opaque\{([^}]*)\}", tok)
     if m:
         values = {}
-        body = m.group(1)
-        for part in filter(None, body.split(",")):
+        for part in filter(None, m.group(1).split(",")):
             if "=" not in part:
                 raise ParseError(line_no, f"bad opaque flag {part!r}")
             key, val = part.split("=", 1)
             if key not in _FLAG_KEYS:
                 raise ParseError(line_no, f"unknown opaque flag key {key!r}")
+            if _FLAG_KEYS[key] in values:
+                raise ParseError(line_no, f"opaque flag key {key!r} given twice")
             if val not in groups.TRI_STATES:
                 raise ParseError(line_no, f"opaque flag value {val!r} must be yes/no/unknown")
             values[_FLAG_KEYS[key]] = val
         return groups.opaque(groups.QuotientFlags(**values))
     raise ParseError(line_no, f"unknown descriptor {tok!r}")
+
+
+def _decode(data: bytes, what: str, line: int | None = None) -> str:
+    """data as UTF-8, else a ParseError at `line` (default: the bad byte's) naming `what`."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1 if line is None else line
+        raise ParseError(line, f"{what} is not UTF-8 at byte offset {exc.start}") from None
 
 
 def parse_table_file(text: str) -> groups.MultTable:
@@ -191,15 +201,8 @@ def parse_word_literal(text: str, ctx: LabeledGraph) -> words.NormalWord:
 
 
 def format_word(w: words.NormalWord, ctx: LabeledGraph) -> str:
-    if w.is_identity:
-        return "1"
-    toks = []
-    for s in w.syllables:
-        if ctx.label(s.vertex).kind == "Z":
-            toks.append(f"{s.vertex}^{s.element}")
-        else:
-            toks.append(f"{s.vertex}[{s.element}]")
-    return "*".join(toks)
+    return "*".join(f"{s.vertex}^{s.element}" if ctx.label(s.vertex).kind == "Z"
+                    else f"{s.vertex}[{s.element}]" for s in w.syllables) or "1"
 
 
 def _vertex_str(x: tree.TreeVertex, fp: tree.FreeProduct) -> str:
@@ -210,33 +213,19 @@ def _vertex_str(x: tree.TreeVertex, fp: tree.FreeProduct) -> str:
 # Reports
 
 def report_to_dict(report: cls.ClassificationReport) -> dict:
-    verdicts = {
-        "propertyT": report.property_t.value,
-        "sqUniversal": report.sq_universal.value,
-        "manyQuasimorphisms": report.many_quasimorphisms.value,
-        "boundedlyGenerated": report.boundedly_generated.value,
-    }
-    reasons = []
-    for name, verdict in (
-        ("propertyT", report.property_t),
-        ("sqUniversal", report.sq_universal),
+    named = [(name, verdict) for name, verdict in (
+        ("propertyT", report.property_t), ("sqUniversal", report.sq_universal),
         ("manyQuasimorphisms", report.many_quasimorphisms),
         ("boundedlyGenerated", report.boundedly_generated),
-    ):
-        reasons.extend(f"{name}: {r}" for r in verdict.reasons)
-    if report.aut_property_t is not None:
-        verdicts["autPropertyT"] = report.aut_property_t.value
-        reasons.extend(f"autPropertyT: {r}" for r in report.aut_property_t.reasons)
-    if report.molecular_property_t is not None:
-        verdicts["molecularPropertyT"] = report.molecular_property_t.value
-        reasons.extend(f"molecularPropertyT: {r}" for r in report.molecular_property_t.reasons)
+        ("autPropertyT", report.aut_property_t),
+        ("molecularPropertyT", report.molecular_property_t)) if verdict is not None]
+    verdicts = {name: verdict.value for name, verdict in named}
+    reasons = [f"{name}: {r}" for name, verdict in named for r in verdict.reasons]
     if report.racg_largeness is not None:
         verdicts["racgLarge"] = "yes" if report.racg_largeness.large else "no"
         if report.racg_largeness.decomposition is not None:
-            parts = " + ".join(
-                f"{kind}({','.join(block)})"
-                for kind, block in report.racg_largeness.decomposition
-            )
+            parts = " + ".join(f"{kind}({','.join(block)})"
+                               for kind, block in report.racg_largeness.decomposition)
             reasons.append(f"racgLarge: group decomposes as {parts}")
     equivalences = None
     if report.equivalences is not None:
@@ -292,7 +281,8 @@ class CommandRequest:
 
 def _load(request: CommandRequest) -> LabeledGraph:
     path = Path(request.path)
-    return parse_graph_file(path.read_text(), base_dir=path.parent)
+    text = _decode(path.read_bytes(), f"graph file {request.path!r}")
+    return parse_graph_file(text, base_dir=path.parent)
 
 
 def _run_classify(request: CommandRequest) -> str:
@@ -363,8 +353,7 @@ def _run_tree(request: CommandRequest) -> str:
     ctx = _load(request)
     fp = tree.free_product(ctx, request.u, request.v)
     if request.axis is not None:
-        w = parse_word_literal(request.axis, ctx)
-        w = words.retract(w, request.u, request.v, ctx)
+        w = words.retract(parse_word_literal(request.axis, ctx), request.u, request.v, ctx)
         data = tree.translation_data(fp, w)
         payload = {
             "element": format_word(data.element, fp.ctx),

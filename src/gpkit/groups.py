@@ -36,6 +36,10 @@ class NotAGroup(GpkitError):
     """Raised when a raw table violates a group axiom."""
 
 
+class NonFiniteLabel(GpkitError):
+    """Operation restricted to finite vertex groups got something else."""
+
+
 class OrderTooLarge(GpkitError):
     """Raised when automorphism enumeration is asked for a table above the bound."""
 
@@ -238,6 +242,12 @@ def validate(rows) -> MultTable:
     return table
 
 
+def _finite_order(table) -> int:
+    if table.order is None:
+        raise NonFiniteLabel(f"descriptor kind {table.kind!r} has no finite table")
+    return table.order
+
+
 def automorphisms(
     table: GroupDescriptor, max_order: int = AUTOMORPHISM_ORDER_BOUND
 ) -> list[tuple[int, ...]]:
@@ -251,7 +261,7 @@ def automorphisms(
     far and kept only if it is injective there and phi(a*g) = phi(a)*phi(g) for
     every a in that subgroup and every generator g so far.
     """
-    n = table.order
+    n = _finite_order(table)
     if n > max_order:
         raise OrderTooLarge(n, max_order)
     mul = table.mul
@@ -315,6 +325,6 @@ def subgroup_closure(table: GroupDescriptor, gens) -> frozenset[int]:
 def minimal_generating_set(table: GroupDescriptor) -> tuple[int, ...]:
     """Smallest generating set, first in lexicographic order among those of
     minimal size; the non-identity elements together always generate."""
-    n = table.order
+    n = _finite_order(table)
     return next(combo for size in range(n) for combo in itertools.combinations(range(1, n), size)
                 if len(subgroup_closure(table, combo)) == n)

@@ -37,7 +37,7 @@ from .groups import (
     subgroup_closure,
 )
 from .labeled import LabeledGraph
-from .words import IDENTITY, BadSyllable, NormalWord, Syllable, require_free_pair
+from .words import IDENTITY, BadSyllable, NormalWord, Syllable, _codes, require_free_pair
 
 
 class NotGenerating(GpkitError):
@@ -175,23 +175,8 @@ def _inverse(fp: FreeProduct, u: tuple) -> tuple:
 
 
 def _letters(fp: FreeProduct, w: NormalWord) -> tuple:
-    """w as an alternating word; any syllable sequence over the two sides is
-    multiplied out, and a syllable off them is a BadSyllable."""
-    index = fp.ctx.word_tables.index
-    factors = fp.ctx.labels
-    out = []
-    for syl in w.syllables:
-        s = index.get(syl.vertex)
-        if s is None:
-            raise BadSyllable(syl.vertex, syl.element, "unknown vertex")
-        e = syl.element
-        if not factors[s].valid(e):
-            raise BadSyllable(syl.vertex, e, "element outside the vertex group")
-        if out and out[-1][0] == s:
-            e = factors[s].mul(out.pop()[1], e)
-        if e:
-            out.append((s, e))
-    return tuple(out)
+    """w as an alternating word: its codes in fp's context, checked unless made there."""
+    return _codes(w, fp.ctx)
 
 
 def _word(fp: FreeProduct, u: tuple) -> NormalWord:

@@ -536,14 +536,19 @@ def equality_classes(system: WordSystem, length: int):
 # with it on every input.
 
 class _IntegerAddition:
+    def __init__(self, modulus=None):
+        self.modulus = modulus
+
     def mul(self, a, b):
-        return a + b
+        return a + b if self.modulus is None else (a + b) % self.modulus
 
 
 def _reference_factors(ctx: LabeledGraph):
-    """Vertex name -> object with mul: full tables for finite groups, + for Z."""
+    """Vertex name -> object with mul: + for Z, + mod n for Z/n (no n x n
+    table, so Z/1000 stays cheap), the table itself for a table group."""
     return {
-        v: _IntegerAddition() if d.kind == "Z" else concrete_table(d)
+        v: _IntegerAddition() if d.kind == "Z" else
+        _IntegerAddition(d.order) if d.kind == "cyclic" else concrete_table(d)
         for v, d in zip(ctx.graph.vertices, ctx.labels)
     }
 

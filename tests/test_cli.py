@@ -416,3 +416,28 @@ def test_non_group_table_named_twice_fails_on_its_first_use(tmp_path, capsys):
     for cmd in ("classify", "graph-info"):
         assert main([cmd, str(path)]) == 1
         assert capsys.readouterr() == ("", "NotAGroup: associativity fails on triple (1, 1, 2)\n")
+
+
+def test_graph_file_not_utf8_exits_one_naming_file_and_byte(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"vertex a Z2\n\xff\xfe\n")
+    assert main(["classify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ParseError: line 2: graph file {str(path)!r} is not UTF-8 at byte offset 12\n"
+
+
+def test_table_file_not_utf8_exits_one_naming_file_and_byte(tmp_path, capsys):
+    (tmp_path / "bad.tbl").write_bytes(b"\xff\xfe\n")
+    path = tmp_path / "t.graph"
+    path.write_text("vertex a Z2\nvertex b table:bad.tbl\n")
+    assert main(["graph-info", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ParseError: line 2: table file 'bad.tbl' is not UTF-8 at byte offset 0\n"
+
+
+def test_repeated_opaque_key_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_graph_file("vertex a Z2\nvertex b opaque{T=yes,SQ=no,T=no}\n")
+    assert str(err.value) == "line 2: opaque flag key 'T' given twice"

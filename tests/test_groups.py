@@ -18,6 +18,7 @@ from gpkit.groups import (
     YES,
     GpkitError,
     GroupDescriptor,
+    NonFiniteLabel,
     NotAGroup,
     OrderTooLarge,
     QuotientFlags,
@@ -356,6 +357,14 @@ def test_vertex_group_laws():
     assert all(s3.mul(a, s3.inv(a)) == 0 for a in range(6))
     with pytest.raises(GpkitError, match="not computable"):
         opaque(QuotientFlags()).valid(0)
+
+
+@pytest.mark.parametrize("desc", [infinite_cyclic(), opaque(QuotientFlags())], ids=["Z", "opaque"])
+def test_group_searches_refuse_a_label_without_a_finite_order(desc):
+    for search in (automorphisms, minimal_generating_set):
+        with pytest.raises(NonFiniteLabel) as err:
+            search(desc)
+        assert str(err.value) == f"descriptor kind {desc.kind!r} has no finite table"
 
 
 def test_flag_values_checked():

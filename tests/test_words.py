@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from gpkit.labeled import LabeledGraph
 from gpkit.words import (
     IDENTITY,
     BadSyllable,
+    NormalWord,
     SameVertex,
     Syllable,
     VerticesAdjacent,
@@ -240,6 +242,73 @@ def test_normal_form_matches_reference():
         ctx = _random_context(rng)
         raw = [_random_syllable(rng, ctx) for _ in range(rng.randint(0, 40))]
         assert normal_form(raw, ctx) == reference_normal_form(raw, ctx), (ctx, raw)
+
+
+WIDE_POOL = (z2(), cyclic(3), cyclic(1000), table_group(s3_table()), table_group(d4_table()),
+             infinite_cyclic())
+# (vertex count, edge probability, word lengths): heavy merges on few vertices,
+# the sparse and the dense ordering walk, and G(80, 0.05)
+WIDE_CONTEXTS = ((3, 0.5, (400,)), (8, 0.5, (40, 400)), (20, 0.2, (40, 400)),
+                 (40, 0.8, (40, 400)), (80, 0.05, (1, 40, 400)), (80, 0.5, (400,)))
+
+
+def _wide_context(rng, n, p, order=None):
+    """n vertices declared in `order` (shuffled names by default), edges drawn
+    with probability p, labels drawn from WIDE_POOL by vertex name."""
+    names = [f"v{i}" for i in range(n)]
+    edges = [e for e in itertools.combinations(names, 2) if rng.random() < p]
+    labels = {v: rng.choice(WIDE_POOL) for v in names}
+    if order is None:
+        order = rng.sample(names, n)
+    return LabeledGraph(graph(order, edges), tuple(labels[v] for v in order))
+
+
+def test_fast_paths_match_the_reference_on_wide_contexts():
+    """Up to 80 vertices and L = 400: normal_form against the rescanning
+    reference, and multiply, invert and retract on engine-made words against
+    the same operations on hand-built words of equal syllables, which the
+    engine checks and normalizes first.  Words made in another context (the
+    same graph declared in another order) take the checked route too."""
+    rng = random.Random(20261019)
+    for n, p, lengths in WIDE_CONTEXTS:
+        ctx = _wide_context(random.Random(f"{n}:{p}"), n, p)
+        other = _wide_context(random.Random(f"{n}:{p}"), n, p, order=sorted(ctx.graph.vertices))
+        made = []
+        for length in lengths:
+            raw = [_random_syllable(rng, ctx) for _ in range(length)]
+            w = normal_form(raw, ctx)
+            assert w == reference_normal_form(raw, ctx), (n, p, length)
+            made.append(w)
+        u, v = next((u, v) for u, v in itertools.combinations(ctx.graph.vertices, 2)
+                    if not ctx.graph.has_edge(u, v))
+        for a, b in itertools.product(made, repeat=2):
+            hand_a, hand_b = NormalWord(a.syllables), NormalWord(b.syllables)
+            ab = multiply(a, b, ctx)
+            assert ab == multiply(hand_a, hand_b, ctx) == multiply(a, hand_b, ctx)
+            assert ab == reference_normal_form(a.syllables + b.syllables, ctx)
+            foreign = normal_form(a.syllables, other)
+            assert multiply(foreign, b, ctx) == ab
+            assert invert(foreign, ctx) == invert(a, ctx) == invert(hand_a, ctx)
+            ra = retract(a, u, v, ctx)
+            assert retract(foreign, u, v, ctx) == ra == retract(hand_a, u, v, ctx)
+            assert multiply(ab, invert(b, ctx), ctx) == a
+
+
+def test_hand_built_words_are_checked_by_every_operation():
+    ctx = LabeledGraph(graph("abc", ["ab"]), (cyclic(1000), z2(), infinite_cyclic()))
+    small = LabeledGraph(ctx.graph, (cyclic(3), z2(), infinite_cyclic()))
+    good = word_of(ctx, ("a", 1), ("c", 2))
+    bad_words = [
+        NormalWord((Syllable("a", 1), Syllable("zz", 1))),  # unknown vertex
+        NormalWord((Syllable("a", 1000), Syllable("c", 1))),  # element outside Z/1000
+        NormalWord((Syllable("c", 1.5),)),  # not an exponent
+        normal_form([Syllable("a", 500)], ctx),  # made where a is Z/1000, used where it is Z/3
+    ]
+    for bad in bad_words:
+        for op in (lambda: multiply(bad, good, small), lambda: multiply(good, bad, small),
+                   lambda: invert(bad, small), lambda: retract(bad, "a", "c", small)):
+            with pytest.raises(BadSyllable):
+                op()
 
 
 def test_large_cyclic_factor_needs_no_table(monkeypatch):
